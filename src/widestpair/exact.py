@@ -48,19 +48,24 @@ def enumerate_simple_paths(
     adj = g.adjacency()
     out: list[tuple[int, ...]] = []
     path = [s]
-
-    def walk(x: int, on_path: int) -> None:
-        for v, _ in adj[x]:
+    on_path = 1 << s
+    # one neighbor iterator per path node, so path length is not bounded
+    # by the interpreter's recursion limit
+    stack = [iter(adj[s])]
+    while stack:
+        for v, _ in stack[-1]:
             if v == t:
-                out.append(tuple(path) + (t,))
+                out.append((*path, t))
                 if len(out) > cap:
                     raise EnumerationCapError(f"more than {cap} simple paths from {s} to {t}")
             elif not on_path >> v & 1:
                 path.append(v)
-                walk(v, on_path | 1 << v)
-                path.pop()
-
-    walk(s, 1 << s)
+                on_path |= 1 << v
+                stack.append(iter(adj[v]))
+                break
+        else:
+            stack.pop()
+            on_path ^= 1 << path.pop()
     return out
 
 

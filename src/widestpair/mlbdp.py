@@ -16,6 +16,7 @@ internally node-disjoint pairs.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -85,8 +86,8 @@ def unique_bandwidths(g: Graph) -> list[int]:
     return sorted({bw for _, _, bw in g.links()})
 
 
-def _initialize(table: VNodeTable, adj: list[list[tuple[int, int]]]) -> list[tuple[int, int, int]]:
-    """Seed the table and return the heap entries.
+def _initialize(table: VNodeTable, adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Seed the table and return the seeded flat indexes.
 
     The source row and column become permanent; every ordered pair
     (i, j) of distinct source neighbors with bandwidth(s, j) >= limit
@@ -99,7 +100,7 @@ def _initialize(table: VNodeTable, adj: list[list[tuple[int, int]]]) -> list[tup
         perm[s * n + i] = 1
     src_idx = s * n + s
     base_mask = 1 << s
-    heap: list[tuple[int, int, int]] = []
+    seeds: list[int] = []
     for i, bw_i in adj[s]:
         for j, bw_j in adj[s]:
             if i != j and bw_j >= limit:
@@ -108,9 +109,8 @@ def _initialize(table: VNodeTable, adj: list[list[tuple[int, int]]]) -> list[tup
                 b[idx] = bw_j
                 prev[idx] = src_idx
                 vis[idx] = base_mask | 1 << i | 1 << j
-                heap.append((-bw_i, -bw_j, idx))
-    heapq.heapify(heap)
-    return heap
+                seeds.append(idx)
+    return seeds
 
 
 def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
@@ -129,6 +129,12 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     A move onto the opposite frontier is the one exception to the
     visited-set check: it closes the pair at that node, producing the
     destination vnode (d, d).
+
+    The heap holds one int per entry, ((top-r) << wb | (top-b)) << wi |
+    idx with top the largest link bandwidth, which orders like
+    (-r, -b, idx). key_of holds each tentative vnode's current key, -1
+    once it is permanent, so an entry is stale exactly when it differs
+    from key_of and a relaxation wins exactly when its key is smaller.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range 0..{g.n - 1}")
@@ -137,21 +143,35 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     n = g.n
     adj = g.adjacency()
     table = VNodeTable(n, s, limit)
-    heap = _initialize(table, adj)
+    seeds = _initialize(table, adj)
     r, b, prev, vis = table.r, table.b, table.prev, table.visited
     perm = table.permanent
     settled = table.settled
+    top = max((bw for nbrs in adj for _, bw in nbrs), default=0)
+    wb = top.bit_length()
+    wi = (n * n).bit_length()
+    sr = wb + wi
+    imask = (1 << wi) - 1
+    key_of = [1 << (sr + wb)] * (n * n)
+    for i in range(n):
+        key_of[i * n + s] = key_of[s * n + i] = -1
+    heap = [((top - r[idx]) << wb | (top - b[idx])) << wi | idx for idx in seeds]
+    for key in heap:
+        key_of[key & imask] = key
+    heapq.heapify(heap)
+    nbrs = [[(v, v * n, 1 << v, bw) for v, bw in a] for a in adj]
+    # the partner bottleneck never drops below the limit, so second-
+    # coordinate moves only ever use links that carry it
+    wide = [[e for e in a if e[3] >= limit] for a in nbrs]
     push = heapq.heappush
     pop = heapq.heappop
     remaining = n - 1
     while heap:
-        neg_r, neg_b, idx = pop(heap)
-        if perm[idx]:
+        key = pop(heap)
+        idx = key & imask
+        if key != key_of[idx]:
             continue
-        rxy = -neg_r
-        bxy = -neg_b
-        if r[idx] != rxy or b[idx] != bxy:
-            continue
+        key_of[idx] = -1
         perm[idx] = 1
         settled.append(idx)
         x, y = divmod(idx, n)
@@ -161,33 +181,38 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
             if remaining == 0:
                 break
             continue
+        rxy = r[idx]
+        bxy = b[idx]
         vxy = vis[idx]
-        for v, bw in adj[x]:
-            tgt = v * n + y
-            if perm[tgt] or (vxy >> v & 1 and v != y):
+        bterm = (top - bxy) << wi
+        for v, vn, vbit, bw in nbrs[x]:
+            if vxy & vbit and v != y:
                 continue
             nr = rxy if bw >= rxy else bw
-            tr = r[tgt]
-            if nr > tr or (nr == tr and bxy > b[tgt]):
+            tgt = vn + y
+            nkey = (top - nr) << sr | bterm | tgt
+            if nkey < key_of[tgt]:
+                key_of[tgt] = nkey
                 r[tgt] = nr
                 b[tgt] = bxy
                 prev[tgt] = idx
-                vis[tgt] = vxy | 1 << v
-                push(heap, (-nr, -bxy, tgt))
-        for u, bw in adj[y]:
-            tgt = x * n + u
-            if perm[tgt] or (vxy >> u & 1 and u != x):
+                vis[tgt] = vxy | vbit
+                push(heap, nkey)
+        rterm = (top - rxy) << sr
+        xn = idx - y
+        for u, _, ubit, bw in wide[y]:
+            if vxy & ubit and u != x:
                 continue
             nb = bxy if bw >= bxy else bw
-            if nb < limit:
-                continue
-            tr = r[tgt]
-            if rxy > tr or (rxy == tr and nb > b[tgt]):
+            tgt = xn + u
+            nkey = rterm | (top - nb) << wi | tgt
+            if nkey < key_of[tgt]:
+                key_of[tgt] = nkey
                 r[tgt] = rxy
                 b[tgt] = nb
                 prev[tgt] = idx
-                vis[tgt] = vxy | 1 << u
-                push(heap, (-rxy, -nb, tgt))
+                vis[tgt] = vxy | ubit
+                push(heap, nkey)
     return table
 
 
@@ -237,30 +262,95 @@ def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
     return out
 
 
-def _better(new: DisjointResult, cur: DisjointResult) -> bool:
-    # larger combined, then larger min bottleneck; on full ties the
-    # earlier (smaller) limit is kept
-    a = (new.combined, min(new.pair.red_bw, new.pair.blue_bw))
-    c = (cur.combined, min(cur.pair.red_bw, cur.pair.blue_bw))
-    return a > c
+def _source_blocks(g: Graph, s: int) -> list[list[tuple[int, int, int]]]:
+    """Links of every biconnected block of s with 3 or more nodes.
+
+    One iterative Tarjan DFS from s (Hopcroft & Tarjan 1973). Each link
+    goes on a stack when first seen; once the subtree of a child u of p
+    is done and low[u] >= disc[p], the links from the tree link (p, u)
+    up form one block. The blocks closed at p == s are the ones holding
+    s; a block of 2 nodes is a single link and holds no disjoint pair.
+    """
+    adj = g.adjacency()
+    disc = [0] * g.n
+    low = [0] * g.n
+    disc[s] = low[s] = count = 1
+    links: list[tuple[int, int, int]] = []
+    blocks: list[list[tuple[int, int, int]]] = []
+    stack = [(s, -1, iter(adj[s]), 0)]
+    while stack:
+        u, parent, it, _ = stack[-1]
+        for v, bw in it:
+            if not disc[v]:
+                count += 1
+                disc[v] = low[v] = count
+                stack.append((v, u, iter(adj[v]), len(links)))
+                links.append((u, v, bw))
+                break
+            if v != parent and disc[v] < disc[u]:
+                links.append((u, v, bw))
+                low[u] = min(low[u], disc[v])
+        else:
+            _, p, _, start = stack.pop()
+            if p < 0:
+                continue
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:
+                if p == s and len(links) - start >= 3:
+                    blocks.append(links[start:])
+                del links[start:]
+    return blocks
 
 
 def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
     """Best node-disjoint pair per destination over all bandwidth limits.
 
-    Runs one limit search per distinct link bandwidth, ascending, and
-    keeps the per-destination maximum combined bandwidth. A destination
-    is present exactly when some run reached it.
+    Keeps, per destination, the largest combined bandwidth over one limit
+    search per distinct link bandwidth, then the larger min bottleneck;
+    on full ties the smaller limit. A destination is present exactly
+    when some run reached it.
+
+    Two disjoint s-d paths exist only when d shares a biconnected block
+    with s, and every simple path between two nodes of a block stays in
+    it, so the sweep runs on each such block alone (same node ids) over
+    the block's own bandwidths. Every vnode with both coordinates in the
+    block sees the same pops as in the whole-graph run, and a block
+    limit answers for every graph-wide limit above the block's previous
+    bandwidth; limit_used reports the smallest of those, the one the
+    whole-graph sweep would keep. A pair is rebuilt only when it beats
+    the destination's best so far.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    n = g.n
+    limits = unique_bandwidths(g)
     best: dict[int, DisjointResult] = {}
-    for limit in unique_bandwidths(g):
-        for d, res in mlbdp_single(g, s, limit).items():
-            cur = best.get(d)
-            if cur is None or _better(res, cur):
-                best[d] = res
+    for links in _source_blocks(g, s):
+        block = Graph(n)
+        for u, v, bw in links:
+            block.add_link(u, v, bw)
+        dests = sorted({v for _, v, _ in links} - {s})
+        floor = 0
+        for limit in unique_bandwidths(block):
+            used = limits[bisect.bisect_right(limits, floor)]
+            floor = limit
+            # the table is freed before the next run allocates its own
+            _keep_improved(run_limit_search(block, s, limit), dests, used, best)
     return dict(sorted(best.items()))
+
+
+def _keep_improved(table: VNodeTable, dests: list[int], used: int, best: dict[int, DisjointResult]) -> None:
+    """Record each reached destination whose (combined, min bottleneck)
+    beats its best so far, rebuilding only those pairs."""
+    n, s = table.n, table.source
+    r, b, perm = table.r, table.b, table.permanent
+    for d in dests:
+        idx = d * n + d
+        if perm[idx]:
+            rd, bd = r[idx], b[idx]
+            cur = best.get(d)
+            if cur is None or (rd + bd, min(rd, bd)) > (cur.combined, min(cur.pair.red_bw, cur.pair.blue_bw)):
+                best[d] = DisjointResult(d, reconstruct_pair(table, s, d), rd + bd, used)
 
 
 def virtual_link_count(g: Graph) -> int:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,15 @@ class TestOracleCommand:
         rc = main(["oracle", "--topology", topo_file, "--source", "0", "--dest", "3"])
         assert rc == 0
         assert "combined: 19" in capsys.readouterr().out
+
+    def test_long_cycle(self, tmp_path, capsys):
+        # a 2400-node ring has exactly two simple paths between any two nodes
+        n = 2400
+        path = tmp_path / "ring.topo"
+        path.write_text(f"nodes {n}\n" + "".join(f"link {i} {(i + 1) % n} 1\n" for i in range(n)))
+        rc = main(["oracle", "--topology", str(path), "--source", "0", "--dest", "1200"])
+        assert rc == 0
+        assert "combined: 2\n" in capsys.readouterr().out
 
     def test_cap_exceeded_exit_code(self, topo_file, capsys):
         rc = main(
@@ -157,11 +167,14 @@ class TestBenchCommand:
 
 
 def test_module_entry_point(topo_file):
+    # run this checkout's package, not whichever copy the interpreter would find
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "widestpair", "solve", "--topology", topo_file,
          "--source", "0", "--dest", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "combined: 19" in proc.stdout

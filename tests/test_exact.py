@@ -51,6 +51,13 @@ class TestEnumeration:
                     if t != s:
                         assert enumerate_simple_paths(g, s, t) == ref_simple_paths(g, s, t)
 
+    def test_long_cycle_beyond_recursion_limit(self):
+        # far more path nodes than the interpreter's default recursion limit
+        n = 2400
+        g = make_graph(n, [(i, (i + 1) % n, 1) for i in range(n)])
+        paths = enumerate_simple_paths(g, 0, n // 2)
+        assert paths == [tuple(range(n // 2 + 1)), (0, *range(n - 1, n // 2 - 1, -1))]
+
     def test_cap_enforced(self, five_node):
         with pytest.raises(EnumerationCapError):
             enumerate_simple_paths(five_node, 0, 3, cap=3)

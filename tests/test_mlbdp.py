@@ -5,6 +5,7 @@ from widestpair.graph import validate_pair
 from widestpair.mlbdp import (
     VNodeTable,
     _initialize,
+    _source_blocks,
     mlbdp_full,
     mlbdp_single,
     reconstruct_pair,
@@ -13,7 +14,7 @@ from widestpair.mlbdp import (
     virtual_link_count,
 )
 
-from .conftest import suite_graphs
+from .conftest import make_graph, suite_graphs
 
 
 class TestUniqueBandwidths:
@@ -142,6 +143,95 @@ class TestFullSweep:
                     assert res.combined == res.pair.red_bw + res.pair.blue_bw
 
 
+def _rank(res):
+    return res.combined, min(res.pair.red_bw, res.pair.blue_bw)
+
+
+def _reference_sweep(g, s):
+    """Whole-graph sweep: every distinct bandwidth as a limit, ascending;
+    larger combined, then larger min bottleneck, earlier limit on ties."""
+    best = {}
+    for limit in unique_bandwidths(g):
+        for d, res in mlbdp_single(g, s, limit).items():
+            if d not in best or _rank(res) > _rank(best[d]):
+                best[d] = res
+    return best
+
+
+def _fields(results):
+    return {
+        d: (r.pair.red, r.pair.blue, r.pair.red_bw, r.pair.blue_bw, r.combined, r.limit_used)
+        for d, r in results.items()
+    }
+
+
+# s = 0 is the cut vertex of two triangles
+BOWTIE = [(0, 1, 4), (0, 2, 9), (1, 2, 6), (0, 3, 2), (0, 4, 7), (3, 4, 5)]
+# a 4-cycle with a tree hanging off node 2
+PENDANT_TREE = [(0, 1, 3), (1, 2, 8), (2, 3, 5), (3, 0, 6), (2, 4, 9), (4, 5, 2), (4, 6, 7)]
+# s = 0 sits on a triangle and reaches another triangle over the bridge 0-3
+BRIDGE = [(0, 1, 5), (1, 2, 3), (2, 0, 8), (0, 3, 9), (3, 4, 4), (4, 5, 6), (5, 3, 1)]
+# the pendant link 1-5 carries 14, which no link of the source's block
+# does; the best 0-2 pair first appears at block limit 15, which answers
+# for graph-wide limits 14 and 15
+SKIPPED_LIMITS = [
+    (0, 3, 27), (0, 6, 19), (1, 2, 3), (1, 4, 19), (1, 5, 14), (1, 6, 16),
+    (2, 3, 16), (2, 4, 27), (2, 6, 2), (3, 4, 25), (3, 6, 15),
+]
+HAND_GRAPHS = [
+    make_graph(5, BOWTIE),
+    make_graph(7, PENDANT_TREE),
+    make_graph(6, BRIDGE),
+    make_graph(7, SKIPPED_LIMITS),
+]
+
+
+class TestBlockSweep:
+    def test_matches_whole_graph_sweep(self):
+        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=562)]:
+            for s in range(g.n):
+                assert _fields(mlbdp_full(g, s)) == _fields(_reference_sweep(g, s))
+
+    def test_skipped_limits_are_mapped(self):
+        g = HAND_GRAPHS[3]
+        block_bws = {bw for links in _source_blocks(g, 0) for _, _, bw in links}
+        assert 14 in unique_bandwidths(g) and 14 not in block_bws
+        res = mlbdp_full(g, 0)[2]
+        assert (res.combined, res.limit_used) == (32, 14)
+        assert res.pair.blue_bw >= 15
+
+    def test_blocks_hold_every_feasible_destination(self):
+        for g in [*HAND_GRAPHS, *suite_graphs(40, seed=563)]:
+            for s in range(g.n):
+                in_block = {v for links in _source_blocks(g, s) for _, v, _ in links} - {s}
+                for d in range(g.n):
+                    if d != s:
+                        assert (d in in_block) == (optimal_pair_bruteforce(g, s, d) is not None)
+
+    def test_large_bandwidths(self):
+        # an increasing affine map keeps every comparison, including
+        # combined sums; bandwidths then differ by up to 2**46, so every
+        # key field must take its width from the largest bandwidth
+        def big(bw):
+            return 10**15 + bw * 10**12
+
+        for g in [*HAND_GRAPHS, *suite_graphs(20, seed=564)]:
+            h = make_graph(g.n, [(u, v, big(bw)) for u, v, bw in g.links()])
+            for s in range(g.n):
+                want = {
+                    d: (
+                        r.pair.red,
+                        r.pair.blue,
+                        big(r.pair.red_bw),
+                        big(r.pair.blue_bw),
+                        big(r.pair.red_bw) + big(r.pair.blue_bw),
+                        big(r.limit_used),
+                    )
+                    for d, r in mlbdp_full(g, s).items()
+                }
+                assert _fields(mlbdp_full(h, s)) == want
+
+
 class TestReconstruct:
     def test_unreached_destination_rejected(self, path4):
         table = run_limit_search(path4, 0, 1)
@@ -175,12 +265,14 @@ class TestSearchInvariants:
                 assert len(table.settled) <= g.n * g.n
                 assert len(set(table.settled)) == len(table.settled)
 
-    def test_settled_r_non_increasing(self):
+    def test_settled_rb_non_increasing(self):
+        # the packed heap key orders like (-r, -b, idx)
         for g in suite_graphs(10, seed=558):
-            for limit in unique_bandwidths(g)[:3]:
-                table = run_limit_search(g, 0, limit)
-                values = [table.r[idx] for idx in table.settled]
-                assert all(a >= b for a, b in zip(values, values[1:]))
+            for s in range(g.n):
+                for limit in unique_bandwidths(g):
+                    table = run_limit_search(g, s, limit)
+                    values = [(table.r[idx], table.b[idx]) for idx in table.settled]
+                    assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_visited_covers_previous_chain(self, five_node):
         table = run_limit_search(five_node, 0, 7)
