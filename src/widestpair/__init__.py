@@ -25,10 +25,9 @@ from .graph import (
     validate_pair,
     validate_path,
 )
-from .mba import EdgePools, build_edge_pools, mba_pair
+from .mba import mba_pair
 from .mlbdp import (
     DisjointResult,
-    VNodeState,
     VNodeTable,
     mlbdp_full,
     mlbdp_single,
@@ -46,7 +45,6 @@ __all__ = [
     "BenchmarkReport",
     "DEFAULT_PATH_CAP",
     "DisjointResult",
-    "EdgePools",
     "EnumerationCapError",
     "FIVE_NODE_TEXT",
     "Graph",
@@ -55,12 +53,10 @@ __all__ = [
     "RunConfig",
     "SplitMix64",
     "TopologyError",
-    "VNodeState",
     "VNodeTable",
     "WidestTree",
     "assign_random_bandwidths",
     "bottleneck",
-    "build_edge_pools",
     "build_ilp",
     "delta",
     "enumerate_simple_paths",

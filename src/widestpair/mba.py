@@ -4,78 +4,91 @@ Finds one high-bandwidth path, deletes its interior nodes, then searches
 again. The two-step approach is exactly what makes it a baseline: the
 first path can consume nodes a valid pair needs, so it misses pairs a
 concurrent search finds.
+
+A round is MBA's threshold sweep: try the source-incident bandwidths in
+descending order, then the other bandwidths, and return the cheapest path
+over the links >= the first threshold tau that admits one. Links >= tau
+hold an s-t path exactly when tau <= W, the widest s-t bottleneck, so
+the sweep stops at the largest source-incident bandwidth <= W. When there
+is none, the widest path's narrowest link is not source-incident, so W is
+itself one of the other bandwidths and the sweep stops at W. A round
+therefore needs one widest search and one cheapest-path search.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .graph import Graph, PathPair, bottleneck
 
-Link = tuple[int, int, int]
+Adjacency = list[list[tuple[int, int]]]
 
 
-@dataclass(frozen=True)
-class EdgePools:
-    """Links split by incidence to the source, sorted by descending bandwidth."""
-
-    es: tuple[Link, ...]
-    bs: tuple[Link, ...]
-
-
-def _split_pools(links: list[Link], s: int) -> EdgePools:
-    es: list[Link] = []
-    bs: list[Link] = []
-    for u, v, bw in links:
-        (es if s in (u, v) else bs).append((u, v, bw))
-    es.sort(key=lambda l: (-l[2], l[0], l[1]))
-    bs.sort(key=lambda l: (-l[2], l[0], l[1]))
-    return EdgePools(tuple(es), tuple(bs))
-
-
-def build_edge_pools(g: Graph, s: int) -> EdgePools:
-    return _split_pools(g.links(), s)
-
-
-def _cheapest_path(links: list[Link], tau: int, s: int, t: int) -> tuple[int, ...] | None:
-    """Min-cost Dijkstra on the links with bandwidth >= tau.
-
-    Cost per link is C - bandwidth with C one above the largest kept
-    bandwidth, so high-bandwidth links are preferred. Ties go to fewer
-    hops, then lowest node id.
-    """
-    kept = [(u, v, bw) for u, v, bw in links if bw >= tau]
-    if not kept:
-        return None
-    c = 1 + max(bw for _, _, bw in kept)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for u, v, bw in kept:
-        adj.setdefault(u, []).append((v, c - bw))
-        adj.setdefault(v, []).append((u, c - bw))
-    for lst in adj.values():
-        lst.sort()
-    dist: dict[int, tuple[int, int]] = {s: (0, 0)}
-    pred: dict[int, int] = {}
-    done: set[int] = set()
-    heap: list[tuple[int, int, int]] = [(0, 0, s)]
+def _widest(adj: Adjacency, s: int, t: int, closed: set[int]) -> int:
+    """Widest s-t bottleneck avoiding the closed nodes, 0 when there is no path."""
+    n = len(adj)
+    done = bytearray(n)
+    for v in closed:
+        done[v] = 1
+    done[s] = 1
+    width = [0] * n
+    heap: list[tuple[int, int]] = []
+    for v, bw in adj[s]:
+        if not done[v]:
+            width[v] = bw
+            heap.append((-bw, v))
+    heapq.heapify(heap)
     while heap:
-        cost, hops, x = heapq.heappop(heap)
-        if x in done:
+        neg, x = heapq.heappop(heap)
+        if done[x]:
             continue
-        done.add(x)
+        if x == t:
+            return -neg
+        done[x] = 1
+        wx = -neg
+        for v, bw in adj[x]:
+            if done[v]:
+                continue
+            w = wx if bw >= wx else bw
+            if w > width[v]:
+                width[v] = w
+                heapq.heappush(heap, (-w, v))
+    return 0
+
+
+def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int]) -> tuple[int, ...]:
+    """Min-cost Dijkstra on the links with bandwidth >= tau, avoiding the closed nodes.
+
+    Cost per link is C - bandwidth with C one above the largest remaining
+    bandwidth, so high-bandwidth links are preferred. Ties go to fewer
+    hops, then lowest node id. Callers ensure that t is reachable.
+    """
+    n = len(adj)
+    c = 1 + max(bw for u, row in enumerate(adj) if u not in closed for v, bw in row if v not in closed)
+    done = bytearray(n)
+    for v in closed:
+        done[v] = 1
+    # dist holds cost * n + hops; a heap key appends the node id, so keys
+    # order by (cost, hops, node)
+    dist = [-1] * n
+    dist[s] = 0
+    pred = [-1] * n
+    heap = [s]
+    while True:
+        dh, x = divmod(heapq.heappop(heap), n)
+        if done[x]:
+            continue
         if x == t:
             break
-        for v, w in adj.get(x, ()):
-            if v in done:
+        done[x] = 1
+        for v, bw in adj[x]:
+            if bw < tau or done[v]:
                 continue
-            cand = (cost + w, hops + 1)
-            if v not in dist or cand < dist[v]:
+            cand = dh + (c - bw) * n + 1
+            if dist[v] < 0 or cand < dist[v]:
                 dist[v] = cand
                 pred[v] = x
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    if t not in done:
-        return None
+                heapq.heappush(heap, cand * n + v)
     path = [t]
     while path[-1] != s:
         path.append(pred[path[-1]])
@@ -83,19 +96,13 @@ def _cheapest_path(links: list[Link], tau: int, s: int, t: int) -> tuple[int, ..
     return tuple(path)
 
 
-def _round_path(links: list[Link], s: int, t: int) -> tuple[int, ...] | None:
-    """One round of the threshold sweep.
-
-    Source-incident bandwidth values are tried first, descending; only
-    when none of them admits a path do the remaining values get a turn.
-    """
-    pools = _split_pools(links, s)
-    for pool in (pools.es, pools.bs):
-        for tau in sorted({bw for _, _, bw in pool}, reverse=True):
-            p = _cheapest_path(links, tau, s, t)
-            if p is not None:
-                return p
-    return None
+def _round_path(adj: Adjacency, s: int, t: int, closed: set[int]) -> tuple[int, ...] | None:
+    """One round: the path the threshold sweep returns, or None when t is unreachable."""
+    w = _widest(adj, s, t, closed)
+    if w == 0:
+        return None
+    tau = max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
+    return _cheapest_path(adj, s, t, tau, closed)
 
 
 def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
@@ -110,20 +117,17 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
         raise ValueError("endpoint out of range")
     if s == t:
         raise ValueError("source and destination must differ")
-    links = g.links()
-    first = _round_path(links, s, t)
+    adj = g.adjacency()
+    first = _round_path(adj, s, t, set())
     if first is None:
         return None
-    removed = set(first[1:-1])
-    # dropping the first path's own links matters when it is the direct
-    # s-t hop, which leaves no interior node to delete
-    used = {frozenset(l) for l in zip(first, first[1:])}
-    reduced = [
-        (u, v, bw)
-        for u, v, bw in links
-        if u not in removed and v not in removed and frozenset((u, v)) not in used
-    ]
-    second = _round_path(reduced, s, t)
+    if len(first) == 2:
+        # the direct s-t hop leaves no interior node to delete, so round
+        # two drops the link itself
+        adj = list(adj)
+        adj[s] = [e for e in adj[s] if e[0] != t]
+        adj[t] = [e for e in adj[t] if e[0] != s]
+    second = _round_path(adj, s, t, set(first[1:-1]))
     if second is None:
         return None
     return PathPair(first, second, bottleneck(g, first), bottleneck(g, second))

@@ -40,17 +40,6 @@ from .widest import max_bandwidth_tree
 FALLBACK_BUDGET = 2000
 
 
-@dataclass(frozen=True)
-class VNodeState:
-    """Snapshot of one virtual node (i, j) after a run."""
-
-    r_maxbw: int
-    b_maxbw: int
-    previous: tuple[int, int] | None
-    visited: frozenset[int]
-    permanent: bool
-
-
 class VNodeTable:
     """Flat state table for one limit run over the n x n virtual nodes.
 
@@ -74,18 +63,6 @@ class VNodeTable:
         self.visited = [0] * size
         self.permanent = bytearray(size)
         self.settled: list[int] = []
-
-    def state(self, i: int, j: int) -> VNodeState:
-        idx = i * self.n + j
-        prev = self.prev[idx]
-        mask = self.visited[idx]
-        return VNodeState(
-            r_maxbw=self.r[idx],
-            b_maxbw=self.b[idx],
-            previous=None if prev < 0 else divmod(prev, self.n),
-            visited=frozenset(v for v in range(self.n) if mask >> v & 1),
-            permanent=bool(self.permanent[idx]),
-        )
 
 
 @dataclass(frozen=True)

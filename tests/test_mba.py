@@ -1,30 +1,102 @@
+import heapq
+
 import pytest
 
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import validate_pair
-from widestpair.mba import _round_path, build_edge_pools, mba_pair
+from widestpair.graph import PathPair, bottleneck, validate_pair
+from widestpair.mba import _round_path, mba_pair
+from widestpair.mlbdp import mlbdp_full
 
-from .conftest import suite_graphs, widest_by_enum
+from .conftest import TRAP_LINKS, make_graph, suite_graphs, widest_by_enum
+
+# Reference: the per-threshold sweep that one widest search per round
+# replaced, kept line for line (names prefixed, type annotations and the
+# pool dataclass dropped) so the new rounds can be checked against it.
 
 
-class TestEdgePools:
-    def test_partition_and_order(self, five_node):
-        pools = build_edge_pools(five_node, 0)
-        assert set(pools.es) | set(pools.bs) == set(
-            (u, v, bw) for u, v, bw in five_node.links()
-        )
-        assert not set(pools.es) & set(pools.bs)
-        assert all(0 in (u, v) for u, v, _ in pools.es)
-        assert all(0 not in (u, v) for u, v, _ in pools.bs)
-        es_bw = [bw for _, _, bw in pools.es]
-        bs_bw = [bw for _, _, bw in pools.bs]
-        assert es_bw == sorted(es_bw, reverse=True)
-        assert bs_bw == sorted(bs_bw, reverse=True)
+def _ref_split_pools(links, s):
+    es = []
+    bs = []
+    for u, v, bw in links:
+        (es if s in (u, v) else bs).append((u, v, bw))
+    es.sort(key=lambda l: (-l[2], l[0], l[1]))
+    bs.sort(key=lambda l: (-l[2], l[0], l[1]))
+    return tuple(es), tuple(bs)
 
-    def test_random_partition(self):
-        for g in suite_graphs(10, seed=91):
-            pools = build_edge_pools(g, 0)
-            assert len(pools.es) + len(pools.bs) == g.m
+
+def _ref_cheapest_path(links, tau, s, t):
+    kept = [(u, v, bw) for u, v, bw in links if bw >= tau]
+    if not kept:
+        return None
+    c = 1 + max(bw for _, _, bw in kept)
+    adj = {}
+    for u, v, bw in kept:
+        adj.setdefault(u, []).append((v, c - bw))
+        adj.setdefault(v, []).append((u, c - bw))
+    for lst in adj.values():
+        lst.sort()
+    dist = {s: (0, 0)}
+    pred = {}
+    done = set()
+    heap = [(0, 0, s)]
+    while heap:
+        cost, hops, x = heapq.heappop(heap)
+        if x in done:
+            continue
+        done.add(x)
+        if x == t:
+            break
+        for v, w in adj.get(x, ()):
+            if v in done:
+                continue
+            cand = (cost + w, hops + 1)
+            if v not in dist or cand < dist[v]:
+                dist[v] = cand
+                pred[v] = x
+                heapq.heappush(heap, (cand[0], cand[1], v))
+    if t not in done:
+        return None
+    path = [t]
+    while path[-1] != s:
+        path.append(pred[path[-1]])
+    path.reverse()
+    return tuple(path)
+
+
+def _ref_round_path(links, s, t):
+    pools = _ref_split_pools(links, s)
+    for pool in pools:
+        for tau in sorted({bw for _, _, bw in pool}, reverse=True):
+            p = _ref_cheapest_path(links, tau, s, t)
+            if p is not None:
+                return p
+    return None
+
+
+def _ref_mba_pair(g, s, t):
+    links = g.links()
+    first = _ref_round_path(links, s, t)
+    if first is None:
+        return None
+    removed = set(first[1:-1])
+    used = {frozenset(l) for l in zip(first, first[1:])}
+    reduced = [
+        (u, v, bw)
+        for u, v, bw in links
+        if u not in removed and v not in removed and frozenset((u, v)) not in used
+    ]
+    second = _ref_round_path(reduced, s, t)
+    if second is None:
+        return None
+    return PathPair(first, second, bottleneck(g, first), bottleneck(g, second))
+
+
+def _equality_graphs():
+    yield make_graph(4, TRAP_LINKS)
+    yield make_graph(3, [(0, 1, 34), (0, 2, 14), (1, 2, 1)])
+    yield from suite_graphs(60, seed=94)
+    yield from suite_graphs(60, seed=95, max_bw=2)
+    yield from suite_graphs(60, seed=96, max_bw=3)
 
 
 class TestPairSearch:
@@ -36,7 +108,7 @@ class TestPairSearch:
 
     def test_trap_graph_first_path_is_unique_widest(self, trap):
         # node map: source 0, t 3, the widest route runs 0-2-1-3
-        assert _round_path(trap.links(), 0, 3) == (0, 2, 1, 3)
+        assert _round_path(trap.adjacency(), 0, 3, set()) == (0, 2, 1, 3)
 
     def test_trap_graph_misses_pair(self, trap):
         # removing the widest path's interior disconnects the endpoints,
@@ -65,6 +137,17 @@ class TestPairSearch:
 
 
 class TestSuiteProperties:
+    def test_equals_threshold_sweep(self):
+        # every field of every ordered pair, ties and pendant sources included
+        queries = 0
+        for g in _equality_graphs():
+            for s in range(g.n):
+                for t in range(g.n):
+                    if t != s:
+                        assert mba_pair(g, s, t) == _ref_mba_pair(g, s, t), (g, s, t)
+                        queries += 1
+        assert queries == 8058
+
     def test_pairs_valid_and_never_beat_oracle(self):
         for g in suite_graphs(40, seed=92):
             for s in range(g.n):
@@ -94,6 +177,27 @@ class TestSuiteProperties:
                     assert pair.red_bw <= w
                     if w in s_bws:
                         assert pair.red_bw == w
+                    # the sweep's threshold: the largest source-incident
+                    # bandwidth <= w, else w itself
+                    tau = max((bw for bw in s_bws if bw <= w), default=w)
+                    assert pair.red_bw >= tau
+
+    def test_never_beats_certified_answer(self):
+        proven = 0
+        graphs = [*suite_graphs(40, seed=97), *suite_graphs(40, seed=98, max_bw=3)]
+        for g in graphs:
+            for s in range(g.n):
+                full = mlbdp_full(g, s)
+                for t in range(g.n):
+                    if t == s:
+                        continue
+                    pair = mba_pair(g, s, t)
+                    if t not in full:
+                        assert pair is None
+                    elif full[t].upper_bound == full[t].combined:
+                        proven += 1
+                        assert pair is None or pair.combined <= full[t].combined
+        assert proven > 0
 
     def test_first_path_widest_on_fixture(self, five_node):
         for t in range(1, 5):

@@ -42,26 +42,27 @@ class TestInitialization:
     def test_five_node_limit_7(self, five_node):
         table = VNodeTable(5, 0, 7)
         _initialize(table, five_node.adjacency())
+        # vnode (i, j) sits at flat index i * 5 + j
         # ordered neighbor pairs of the source whose second link is >= 7
-        assert (table.state(1, 2).r_maxbw, table.state(1, 2).b_maxbw) == (9, 12)
-        assert (table.state(2, 1).r_maxbw, table.state(2, 1).b_maxbw) == (12, 9)
-        assert (table.state(4, 1).r_maxbw, table.state(4, 1).b_maxbw) == (2, 9)
-        assert (table.state(4, 2).r_maxbw, table.state(4, 2).b_maxbw) == (2, 12)
+        assert (table.r[1 * 5 + 2], table.b[1 * 5 + 2]) == (9, 12)
+        assert (table.r[2 * 5 + 1], table.b[2 * 5 + 1]) == (12, 9)
+        assert (table.r[4 * 5 + 1], table.b[4 * 5 + 1]) == (2, 9)
+        assert (table.r[4 * 5 + 2], table.b[4 * 5 + 2]) == (2, 12)
         for i, j in [(1, 2), (2, 1), (4, 1), (4, 2)]:
-            st = table.state(i, j)
-            assert st.previous == (0, 0)
-            assert st.visited == frozenset({0, i, j})
+            idx = i * 5 + j
+            assert divmod(table.prev[idx], 5) == (0, 0)
+            assert table.visited[idx] == 1 << 0 | 1 << i | 1 << j
         # second-hop bandwidth 2 < 7 keeps these out
         for i, j in [(2, 4), (1, 4)]:
-            st = table.state(i, j)
-            assert (st.r_maxbw, st.b_maxbw) == (0, 0) and st.previous is None
+            idx = i * 5 + j
+            assert (table.r[idx], table.b[idx]) == (0, 0) and table.prev[idx] == -1
 
     def test_source_row_and_column_permanent(self, five_node):
         table = VNodeTable(5, 0, 7)
         _initialize(table, five_node.adjacency())
         for i in range(5):
-            assert table.state(i, 0).permanent
-            assert table.state(0, i).permanent
+            assert table.permanent[i * 5 + 0]
+            assert table.permanent[0 * 5 + i]
 
 
 class TestSingleRun:
@@ -79,18 +80,18 @@ class TestSingleRun:
 
     def test_five_node_predecessor_chain(self, five_node):
         table = run_limit_search(five_node, 0, 7)
-        assert table.state(3, 3).previous == (3, 1)
-        assert table.state(3, 1).previous == (4, 1)
-        assert table.state(4, 1).previous == (2, 1)
-        assert table.state(2, 1).previous == (0, 0)
+        assert divmod(table.prev[3 * 5 + 3], 5) == (3, 1)
+        assert divmod(table.prev[3 * 5 + 1], 5) == (4, 1)
+        assert divmod(table.prev[4 * 5 + 1], 5) == (2, 1)
+        assert divmod(table.prev[2 * 5 + 1], 5) == (0, 0)
 
     def test_blocked_vnodes_only_reached_by_other_routes(self, five_node):
         # (2,4) and (1,4) are never seeded and never relaxed through the
         # low second hop; any state they end up with descends elsewhere
         table = run_limit_search(five_node, 0, 7)
         for i, j in [(2, 4), (1, 4)]:
-            st = table.state(i, j)
-            assert st.previous != (0, 0)
+            # -1 (never reached) or any predecessor but (0, 0)
+            assert table.prev[i * 5 + j] != 0
 
     def test_blue_side_respects_limit(self, five_node):
         for limit in unique_bandwidths(five_node):
