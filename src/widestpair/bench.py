@@ -1,12 +1,18 @@
 """Benchmark harness: all ordered pairs, bandwidth sweeps, CSV reports.
 
+Every algorithm is one entry of SOLVERS: fn(g, s, dests, path_cap)
+returns {d: (pair, upper_bound)} for the destinations in dests that have
+a pair. upper_bound is mlbdp_full's certificate, the combined bandwidth
+itself for the oracle, and None for MBA, which proves nothing. The CLI
+answers one query with one call; the benchmark times one call per source.
+
 For each maximum-bandwidth value in the sweep, link capacities are
 redrawn with the configured seed and every selected algorithm runs over
 all ordered (source, dest) pairs. Reported per algorithm: pairs found,
 summed wall time, and (when the oracle runs) the total and average
-combined-bandwidth shortfall against the oracle. For mlbdp the report
-also counts the answers its exact search left unproven (combined below
-their upper bound); those are lower bounds, not optima.
+combined-bandwidth shortfall against the oracle. The report also counts
+the answers left unproven (combined below their upper bound); those are
+lower bounds, not optima.
 """
 
 from __future__ import annotations
@@ -14,19 +20,52 @@ from __future__ import annotations
 import csv
 import io
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exact import DEFAULT_PATH_CAP, optimal_pair_bruteforce
-from .graph import Graph, assign_random_bandwidths
+from .graph import Graph, PathPair, assign_random_bandwidths
 from .mba import mba_pair
 from .mlbdp import mlbdp_full
 
-ALGORITHMS = ("mlbdp", "mba", "oracle")
 DEFAULT_SWEEP = (10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 MISS_POLICIES = ("full", "zero")
 CSV_COLUMNS = ("max_bw", "algo", "pairs_found", "wall_time_ms", "diff_total", "diff_avg")
 PLOT_METRICS = ("pairs_found", "wall_time_ms", "diff_total", "diff_avg")
+
+
+Answers = dict[int, tuple[PathPair, int | None]]  # dest -> (pair, upper bound)
+
+
+# The solvers look mlbdp_full, mba_pair and optimal_pair_bruteforce up
+# as module globals at call time, so rebinding them here (as a tracer
+# does) reaches every caller of the table.
+def _mlbdp(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
+    res = mlbdp_full(g, s)
+    return {d: (res[d].pair, res[d].upper_bound) for d in dests if d in res}
+
+
+def _mba(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
+    out = {}
+    for d in dests:
+        pair = mba_pair(g, s, d)
+        if pair is not None:
+            out[d] = (pair, None)
+    return out
+
+
+def _oracle(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
+    out = {}
+    for d in dests:
+        res = optimal_pair_bruteforce(g, s, d, path_cap)
+        if res is not None:
+            out[d] = res
+    return out
+
+
+SOLVERS = {"mlbdp": _mlbdp, "mba": _mba, "oracle": _oracle}
+ALGORITHMS = tuple(SOLVERS)
 
 
 @dataclass
@@ -46,7 +85,6 @@ class RunConfig:
     algos: tuple[str, ...] = ALGORITHMS
     miss_policy: str = "full"
     path_cap: int = DEFAULT_PATH_CAP
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         for a in self.algos:
@@ -54,6 +92,8 @@ class RunConfig:
                 raise ValueError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
         if not self.algos:
             raise ValueError("no algorithms selected")
+        if len(set(self.algos)) != len(self.algos):
+            raise ValueError(f"duplicate algorithm in {self.algos}")
         if self.sweep is not None:
             if not self.sweep:
                 raise ValueError("empty sweep")
@@ -71,7 +111,7 @@ class AlgoRow:
     wall_time_ms: float
     diff_total: int | None = None
     diff_avg: float | None = None
-    unproven: int | None = None  # mlbdp only: answers below their upper bound
+    unproven: int = 0  # answers below their upper bound
 
 
 @dataclass
@@ -89,42 +129,23 @@ class BenchmarkReport:
     rows: list[SweepRow] = field(default_factory=list)
 
 
-def _ordered_pairs(n: int):
-    for s in range(n):
-        for d in range(n):
-            if d != s:
-                yield s, d
-
-
 def _run_row(cfg: RunConfig, g: Graph, max_bw: int | None) -> SweepRow:
     combined: dict[str, dict[tuple[int, int], int]] = {}
     times: dict[str, float] = {}
-    unproven = 0
+    unproven: dict[str, int] = {}
     for algo in cfg.algos:
+        solve = SOLVERS[algo]
         found: dict[tuple[int, int], int] = {}
         elapsed = 0.0
-        if algo == "mlbdp":
-            for s in range(g.n):
-                t0 = time.perf_counter()
-                res = mlbdp_full(g, s)
-                elapsed += time.perf_counter() - t0
-                for d, r in res.items():
-                    found[(s, d)] = r.combined
-                    unproven += r.upper_bound != r.combined
-        elif algo == "mba":
-            for s, d in _ordered_pairs(g.n):
-                t0 = time.perf_counter()
-                pair = mba_pair(g, s, d)
-                elapsed += time.perf_counter() - t0
-                if pair is not None:
-                    found[(s, d)] = pair.combined
-        else:
-            for s, d in _ordered_pairs(g.n):
-                t0 = time.perf_counter()
-                res = optimal_pair_bruteforce(g, s, d, cfg.path_cap)
-                elapsed += time.perf_counter() - t0
-                if res is not None:
-                    found[(s, d)] = res[1]
+        unproven[algo] = 0
+        for s in range(g.n):
+            dests = [d for d in range(g.n) if d != s]
+            t0 = time.perf_counter()
+            res = solve(g, s, dests, cfg.path_cap)
+            elapsed += time.perf_counter() - t0
+            for d, (pair, upper_bound) in res.items():
+                found[(s, d)] = pair.combined
+                unproven[algo] += upper_bound is not None and upper_bound > pair.combined
         combined[algo] = found
         times[algo] = elapsed * 1000.0
 
@@ -153,12 +174,7 @@ def _run_row(cfg: RunConfig, g: Graph, max_bw: int | None) -> SweepRow:
                 else:
                     diff_total += oc - hc
             diff_avg = diff_total / feasible if feasible else 0.0
-        rows.append(
-            AlgoRow(
-                algo, len(combined[algo]), times[algo], diff_total, diff_avg,
-                unproven if algo == "mlbdp" else None,
-            )
-        )
+        rows.append(AlgoRow(algo, len(combined[algo]), times[algo], diff_total, diff_avg, unproven[algo]))
     return SweepRow(max_bw, feasible, rows)
 
 

@@ -11,13 +11,14 @@ from .bench import (
     ALGORITHMS,
     DEFAULT_SWEEP,
     MISS_POLICIES,
+    SOLVERS,
     RunConfig,
     render_report_csv,
     run_benchmark,
     write_plot_data,
     write_report_csv,
 )
-from .exact import DEFAULT_PATH_CAP, EnumerationCapError, export_ilp, optimal_pair_bruteforce
+from .exact import DEFAULT_PATH_CAP, EnumerationCapError, export_ilp
 from .graph import (
     Graph,
     TopologyError,
@@ -26,8 +27,6 @@ from .graph import (
     parse_topology,
     serialize_topology,
 )
-from .mba import mba_pair
-from .mlbdp import mlbdp_full
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,24 +61,10 @@ def _cmd_solve(args) -> int:
     g = _load(args.topology)
     s, t = args.source, args.dest
     _check_query(g, s, t)
-    if args.algo == "mlbdp":
-        res = mlbdp_full(g, s).get(t)
-        _print_pair(res.pair if res is not None else None, s, t)
-        if res is not None and res.upper_bound != res.combined:
-            print(f"not proven optimal: upper bound {res.upper_bound}, gap {res.upper_bound - res.combined}")
-    elif args.algo == "mba":
-        _print_pair(mba_pair(g, s, t), s, t)
-    else:
-        res = optimal_pair_bruteforce(g, s, t, args.path_cap)
-        _print_pair(res[0] if res is not None else None, s, t)
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    g = _load(args.topology)
-    _check_query(g, args.source, args.dest)
-    res = optimal_pair_bruteforce(g, args.source, args.dest, args.path_cap)
-    _print_pair(res[0] if res is not None else None, args.source, args.dest)
+    pair, upper_bound = SOLVERS[args.algo](g, s, (t,), args.path_cap).get(t, (None, None))
+    _print_pair(pair, s, t)
+    if upper_bound is not None and upper_bound != pair.combined:
+        print(f"not proven optimal: upper bound {upper_bound}, gap {upper_bound - pair.combined}")
     return EXIT_OK
 
 
@@ -111,10 +96,9 @@ def _cmd_bench(args) -> int:
         algos=tuple(args.algos.split(",")),
         miss_policy=args.miss_policy,
         path_cap=args.path_cap,
-        out_dir=args.out,
     )
     report = run_benchmark(cfg)
-    unproven = sum(a.unproven or 0 for row in report.rows for a in row.algos)
+    unproven = sum(a.unproven for row in report.rows for a in row.algos)
     if unproven:
         print(
             f"note: {unproven} mlbdp answers are not proven optimal (search budget spent); "
@@ -201,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--dest", type=int, required=True)
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_solve, algo="oracle")
 
     return parser
 

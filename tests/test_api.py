@@ -1,0 +1,44 @@
+import importlib
+
+import widestpair
+from widestpair import bench
+
+# names perfbench reads from the package namespace
+PERFBENCH_NAMES = {
+    "VNodeTable",
+    "assign_random_bandwidths",
+    "five_node_network",
+    "generate_random_graph",
+    "max_bandwidth_tree",
+    "mba_pair",
+    "mlbdp_full",
+    "optimal_pair_bruteforce",
+    "parse_topology",
+    "serialize_topology",
+    "validate_pair",
+}
+
+
+def test_all_is_sorted_and_resolves():
+    assert widestpair.__all__ == sorted(widestpair.__all__)
+    for name in widestpair.__all__:
+        assert hasattr(widestpair, name), name
+
+
+def test_all_keeps_the_perfbench_names():
+    assert PERFBENCH_NAMES <= set(widestpair.__all__)
+
+
+def test_dropped_names_stay_in_their_submodules():
+    for module, name in [
+        ("exact", "enumerate_simple_paths"),
+        ("graph", "PathPair"),
+        ("mlbdp", "DisjointResult"),
+        ("mlbdp", "run_limit_search"),
+        ("widest", "extract_widest_path"),
+    ]:
+        assert hasattr(importlib.import_module(f"widestpair.{module}"), name)
+
+
+def test_solver_table_is_the_algorithm_list():
+    assert tuple(bench.SOLVERS) == bench.ALGORITHMS

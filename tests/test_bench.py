@@ -1,5 +1,6 @@
 import pytest
 
+from widestpair import bench, mlbdp
 from widestpair.bench import (
     DEFAULT_SWEEP,
     RunConfig,
@@ -9,7 +10,7 @@ from widestpair.bench import (
     write_report_csv,
 )
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import generate_random_graph
+from widestpair.graph import generate_random_graph, parse_topology
 from widestpair.mba import mba_pair
 
 
@@ -159,9 +160,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="empty sweep"):
             RunConfig(graph=five_node, sweep=())
 
+    def test_duplicate_algo(self, five_node):
+        with pytest.raises(ValueError, match="duplicate algorithm"):
+            RunConfig(graph=five_node, algos=("mlbdp", "mlbdp"))
+
     def test_bad_miss_policy(self, five_node):
         with pytest.raises(ValueError, match="miss policy"):
             RunConfig(graph=five_node, miss_policy="half")
 
     def test_default_sweep_matches_protocol(self):
         assert DEFAULT_SWEEP == (10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+
+
+class TestSolverTable:
+    @pytest.mark.parametrize("attr, algo, calls", [("mba_pair", "mba", 20), ("mlbdp_full", "mlbdp", 5)])
+    def test_resolves_solvers_at_call_time(self, five_node, monkeypatch, attr, algo, calls):
+        original = getattr(bench, attr)
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, attr, counting)
+        report = run_benchmark(RunConfig(graph=five_node, label="five", sweep=None, algos=(algo,)))
+        assert len(seen) == calls
+        assert report.rows[0].algos[0].pairs_found == 20
+
+    def test_unproven_counted_per_algorithm(self, monkeypatch):
+        # without search steps mlbdp leaves 3 -> 0 at 27 below its bound 42
+        monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", 0)
+        g = parse_topology("nodes 4\nlink 0 2 47\nlink 0 3 8\nlink 1 2 49\nlink 1 3 34\nlink 2 3 19\n")
+        report = run_benchmark(RunConfig(graph=g, label="witness", sweep=None))
+        assert {a.algo: a.unproven for a in report.rows[0].algos} == {"mlbdp": 1, "mba": 0, "oracle": 0}

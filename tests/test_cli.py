@@ -104,6 +104,22 @@ class TestOracleCommand:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "topology, query, rc",
+        [
+            ("topo_file", ["--source", "0", "--dest", "3"], 0),
+            ("tree_file", ["--source", "0", "--dest", "3"], 0),
+            ("topo_file", ["--source", "0", "--dest", "3", "--path-cap", "3"], 3),
+            ("topo_file", ["--source", "3", "--dest", "3"], 2),
+        ],
+    )
+    def test_same_as_solve_with_oracle_algo(self, request, capsys, topology, query, rc):
+        path = request.getfixturevalue(topology)
+        assert main(["oracle", "--topology", path, *query]) == rc
+        oracle = capsys.readouterr()
+        assert main(["solve", "--topology", path, *query, "--algo", "oracle"]) == rc
+        assert capsys.readouterr() == oracle
+
 
 class TestGen:
     def test_generates_parseable_file(self, tmp_path, capsys):
@@ -190,6 +206,13 @@ class TestBenchCommand:
     def test_unknown_algo(self, topo_file, capsys):
         rc = main(["bench", "--topology", topo_file, "--algos", "simplex"])
         assert rc == 2
+
+    def test_duplicate_algo(self, topo_file, capsys):
+        rc = main(["bench", "--topology", topo_file, "--sweep", "fixed", "--algos", "mlbdp,mlbdp"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "duplicate algorithm" in captured.err
+        assert captured.out == ""
 
 
 def test_module_entry_point(topo_file):
