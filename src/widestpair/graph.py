@@ -81,10 +81,6 @@ class Graph:
         self._check_node(u)
         return sorted(self._adj[u])
 
-    def degree(self, u: int) -> int:
-        self._check_node(u)
-        return len(self._adj[u])
-
     def links(self) -> list[tuple[int, int, int]]:
         """All links as (u, v, bw) with u < v, sorted."""
         return sorted(
@@ -202,7 +198,7 @@ def parse_topology(text: str) -> Graph:
             try:
                 n = int(fields[1])
             except ValueError:
-                raise TopologyError(lineno, f"node count is not an integer: {fields[1]!r}") from None
+                raise _int_error(lineno, fields[1:], f"node count is not an integer: {fields[1]!r}") from None
             if n < 1:
                 raise TopologyError(lineno, f"node count must be >= 1, got {n}")
             g = Graph(n)
@@ -212,7 +208,7 @@ def parse_topology(text: str) -> Graph:
         try:
             u, v, bw = (int(f) for f in fields[1:])
         except ValueError:
-            raise TopologyError(lineno, f"non-integer field in {line!r}") from None
+            raise _int_error(lineno, fields[1:], f"non-integer field in {line!r}") from None
         try:
             g.add_link(u, v, bw)
         except ValueError as exc:
@@ -220,6 +216,22 @@ def parse_topology(text: str) -> Graph:
     if g is None:
         raise TopologyError(1, "missing 'nodes' line")
     return g
+
+
+def _int_error(lineno: int, fields: list[str], message: str) -> TopologyError:
+    """The error for integer fields that int() refused.
+
+    int() refuses an all-digit field only when it has more digits than
+    Python parses (sys.get_int_max_str_digits()), so such a field is
+    reported by its length; anything else gets message.
+    """
+    for f in fields:
+        if f.isascii() and f.isdigit():
+            try:
+                int(f)
+            except ValueError:
+                return TopologyError(lineno, f"integer field is too long: {len(f)} digits")
+    return TopologyError(lineno, message)
 
 
 def serialize_topology(g: Graph) -> str:

@@ -12,7 +12,8 @@ hold an s-t path exactly when tau <= W, the widest s-t bottleneck, so
 the sweep stops at the largest source-incident bandwidth <= W. When there
 is none, the widest path's narrowest link is not source-incident, so W is
 itself one of the other bandwidths and the sweep stops at W. A round
-therefore needs one widest search and one cheapest-path search.
+therefore needs one widest search (widest.widest_tree, stopped at t) and
+one cheapest-path search.
 """
 
 from __future__ import annotations
@@ -20,40 +21,7 @@ from __future__ import annotations
 import heapq
 
 from .graph import Graph, PathPair, bottleneck
-
-Adjacency = list[list[tuple[int, int]]]
-
-
-def _widest(adj: Adjacency, s: int, t: int, closed: set[int]) -> int:
-    """Widest s-t bottleneck avoiding the closed nodes, 0 when there is no path."""
-    n = len(adj)
-    done = bytearray(n)
-    for v in closed:
-        done[v] = 1
-    done[s] = 1
-    width = [0] * n
-    heap: list[tuple[int, int]] = []
-    for v, bw in adj[s]:
-        if not done[v]:
-            width[v] = bw
-            heap.append((-bw, v))
-    heapq.heapify(heap)
-    while heap:
-        neg, x = heapq.heappop(heap)
-        if done[x]:
-            continue
-        if x == t:
-            return -neg
-        done[x] = 1
-        wx = -neg
-        for v, bw in adj[x]:
-            if done[v]:
-                continue
-            w = wx if bw >= wx else bw
-            if w > width[v]:
-                width[v] = w
-                heapq.heappush(heap, (-w, v))
-    return 0
+from .widest import Adjacency, widest_tree, without_link
 
 
 def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int]) -> tuple[int, ...]:
@@ -98,7 +66,7 @@ def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int]) -
 
 def _round_path(adj: Adjacency, s: int, t: int, closed: set[int]) -> tuple[int, ...] | None:
     """One round: the path the threshold sweep returns, or None when t is unreachable."""
-    w = _widest(adj, s, t, closed)
+    w = widest_tree(adj, s, closed, t).maxbw[t]
     if w == 0:
         return None
     tau = max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
@@ -124,9 +92,7 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     if len(first) == 2:
         # the direct s-t hop leaves no interior node to delete, so round
         # two drops the link itself
-        adj = list(adj)
-        adj[s] = [e for e in adj[s] if e[0] != t]
-        adj[t] = [e for e in adj[t] if e[0] != s]
+        adj = without_link(adj, s, t)
     second = _round_path(adj, s, t, set(first[1:-1]))
     if second is None:
         return None

@@ -33,7 +33,7 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .graph import Graph, PathPair
-from .widest import max_bandwidth_tree
+from .widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of the exact search per destination; one step is one candidate
 # node for the wider path that the cheap filters let through
@@ -472,9 +472,10 @@ class _BlockSearch:
     inc - a + 1 (then a + min(a, partner) <= inc), or when the prefix
     cannot reach d over the links P1 may use; both tests are repeated
     with the nodes that every route of the other path is forced through
-    taken out. At d, the pair is P1 with that partner. Reachability tests
-    walk node bitmasks, one neighbor mask per node and threshold, built
-    once per threshold and block.
+    taken out. At d, the pair is P1 with that partner, from one
+    widest_tree search that closes the prefix and stops at d. Reachability
+    tests walk node bitmasks, one neighbor mask per node and threshold,
+    built once per threshold and block.
     """
 
     def __init__(self, block: Graph, s: int):
@@ -542,41 +543,6 @@ class _BlockSearch:
             if not self.reaches(t, start, goal, allowed & ~(1 << cur)):
                 out |= 1 << cur
         return out
-
-    def widest(self, d: int, avoid: int, direct: bool) -> tuple[int, tuple[int, ...] | None]:
-        """Widest s-d path with no interior node in avoid, using the
-        direct link s-d only when direct; (bandwidth, path) or (0, None)."""
-        s, adj = self.s, self.adj
-        width: dict[int, int] = {}
-        prev: dict[int, int] = {}
-        heap = []
-        for v, bw in adj[s]:
-            if avoid >> v & 1 or (v == d and not direct):
-                continue
-            width[v] = bw
-            prev[v] = s
-            heap.append((-bw, v))
-        heapq.heapify(heap)
-        done = avoid | 1 << s
-        while heap:
-            neg, x = heapq.heappop(heap)
-            if done >> x & 1 or -neg != width[x]:
-                continue
-            if x == d:
-                path = [d]
-                while path[-1] != s:
-                    path.append(prev[path[-1]])
-                return -neg, tuple(reversed(path))
-            done |= 1 << x
-            for v, bw in adj[x]:
-                if done >> v & 1:
-                    continue
-                w = -neg if bw >= -neg else bw
-                if w > width.get(v, 0):
-                    width[v] = w
-                    prev[v] = x
-                    heapq.heappush(heap, (-w, v))
-        return 0, None
 
     def max_min_pair(self, d: int, t: int) -> PathPair:
         """Two internally node-disjoint s-d paths on the links >= t, by two
@@ -660,9 +626,11 @@ class _BlockSearch:
                     if steps > budget:
                         return pair, ub
                     if v == d:
-                        wp, partner = self.widest(d, on & ~(1 << s), len(path) > 1)
-                        if partner is not None and a2 + wp > inc:
-                            pair = self._pair((*path, d), partner)
+                        # a direct P1 leaves the partner every link but s-d
+                        adj = self.adj if len(path) > 1 else without_link(self.adj, s, d)
+                        tree = widest_tree(adj, s, path, d)
+                        if tree.maxbw[d] and a2 + tree.maxbw[d] > inc:
+                            pair = self._pair((*path, d), extract_widest_path(tree, d))
                             inc = pair.combined
                             thr = max(inc // 2 + 1, inc - m + 1)
                             if inc >= ub or a2 < thr:

@@ -3,14 +3,23 @@
 Dijkstra variant: instead of minimizing summed cost, each node keeps the
 best achievable path bottleneck from the source, and relaxation replaces
 it whenever min(maxbw[x], bw(x, v)) improves on it.
+
+widest_tree is the package's one widest-path search. It serves the W
+bound of mlbdp_full (through max_bandwidth_tree), the partner path of the
+exact pair search and both rounds of the MBA baseline; the last two close
+nodes, stop at their destination and may drop the direct link
+(without_link).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Graph
+
+Adjacency = list[list[tuple[int, int]]]
 
 
 @dataclass
@@ -31,32 +40,44 @@ class WidestTree:
     settled: list[int]
 
 
-def max_bandwidth_tree(g: Graph, s: int) -> WidestTree:
-    """Compute per-node maximum bottleneck bandwidth from s.
+def widest_tree(adj: Adjacency, s: int, closed: Iterable[int] = (), stop: int = -1) -> WidestTree:
+    """Widest-path tree from s over per-node (neighbor, bandwidth) lists.
 
+    No path enters a closed node; closed nodes count as permanent and
+    keep maxbw 0. The search returns as soon as node stop is settled:
+    maxbw[stop] and the predecessor walk from stop are then final, the
+    values of unsettled nodes are not.
     Extraction always picks the tentative node with the largest maxbw,
     ties going to the lowest node id, so results are deterministic.
     """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range 0..{g.n - 1}")
-    adj = g.adjacency()
-    maxbw = [0] * g.n
-    previous: list[int | None] = [s] * g.n
+    n = len(adj)
+    maxbw = [0] * n
+    previous: list[int | None] = [s] * n
     previous[s] = None
-    permanent = [False] * g.n
+    permanent = [False] * n
+    for v in closed:
+        permanent[v] = True
     permanent[s] = True
     settled = [s]
     heap: list[tuple[int, int]] = []
     for v, bw in adj[s]:
-        maxbw[v] = bw
-        heap.append((-bw, v))
+        if not permanent[v]:
+            maxbw[v] = bw
+            heap.append((-bw, v))
     heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    # a node's first pop carries its final maxbw (entries only ever
+    # improve it, and later pushes are no wider than the pop), so a pop
+    # of a permanent node is the only stale one
     while heap:
-        neg, x = heapq.heappop(heap)
-        if permanent[x] or -neg != maxbw[x]:
+        x = pop(heap)[1]
+        if permanent[x]:
             continue
         permanent[x] = True
         settled.append(x)
+        if x == stop:
+            break
         bx = maxbw[x]
         for v, bw in adj[x]:
             if permanent[v]:
@@ -65,8 +86,23 @@ def max_bandwidth_tree(g: Graph, s: int) -> WidestTree:
             if w > maxbw[v]:
                 maxbw[v] = w
                 previous[v] = x
-                heapq.heappush(heap, (-w, v))
+                push(heap, (-w, v))
     return WidestTree(s, maxbw, previous, permanent, settled)
+
+
+def max_bandwidth_tree(g: Graph, s: int) -> WidestTree:
+    """Compute per-node maximum bottleneck bandwidth from s (see widest_tree)."""
+    if not 0 <= s < g.n:
+        raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    return widest_tree(g.adjacency(), s)
+
+
+def without_link(adj: Adjacency, u: int, v: int) -> Adjacency:
+    """A copy of adj without link u-v; the rows of other nodes are shared."""
+    out = list(adj)
+    out[u] = [e for e in adj[u] if e[0] != v]
+    out[v] = [e for e in adj[v] if e[0] != u]
+    return out
 
 
 def extract_widest_path(tree: WidestTree, dest: int) -> tuple[int, ...] | None:

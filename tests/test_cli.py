@@ -81,6 +81,13 @@ class TestSolve:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_too_long_integer(self, tmp_path, capsys):
+        path = tmp_path / "long.topo"
+        path.write_text("nodes 2\nlink 0 1 " + "7" * 5000 + "\n")
+        rc = main(["solve", "--topology", str(path), "--source", "0", "--dest", "1"])
+        assert rc == 2
+        assert "line 2: integer field is too long: 5000 digits" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_finds_optimum(self, topo_file, capsys):

@@ -58,6 +58,21 @@ class TestParse:
         with pytest.raises(TopologyError, match="line 2.*non-integer"):
             parse_topology("nodes 2\nlink 0 1 x")
 
+    # Python parses at most 4,300 digits by default (sys.get_int_max_str_digits)
+    def test_too_long_bandwidth(self):
+        with pytest.raises(TopologyError, match="line 2: integer field is too long: 5000 digits"):
+            parse_topology("nodes 2\nlink 0 1 " + "7" * 5000)
+
+    def test_too_long_node_count(self):
+        with pytest.raises(TopologyError, match="line 1: integer field is too long: 5000 digits"):
+            parse_topology("nodes " + "9" * 5000)
+
+    def test_long_non_digit_field_still_non_integer(self):
+        with pytest.raises(TopologyError, match="line 2.*non-integer"):
+            parse_topology("nodes 2\nlink 0 1 x" + "7" * 5000)
+        with pytest.raises(TopologyError, match="line 1: node count is not an integer"):
+            parse_topology("nodes x" + "9" * 5000)
+
     def test_missing_nodes_line(self):
         with pytest.raises(TopologyError):
             parse_topology("# only a comment\n")

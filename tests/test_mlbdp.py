@@ -2,8 +2,9 @@ import pytest
 
 from widestpair import mlbdp
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import validate_pair
+from widestpair.graph import PathPair, SplitMix64, validate_pair
 from widestpair.mlbdp import (
+    FALLBACK_BUDGET,
     VNodeTable,
     _BlockSearch,
     _block_graph,
@@ -326,6 +327,32 @@ class TestCertified:
                         continue
                     common = set.intersection(*(set(p[1:-1]) for p in paths))
                     assert search.forced(t, 0, goal, -1) == sum(1 << v for v in common)
+
+    def test_direct_link_partner_avoids_it(self):
+        # the best pair's wider path is the direct link 0-1, so its partner
+        # must be found without that link
+        g = make_graph(4, [(0, 1, 10), (0, 2, 5), (2, 1, 5), (0, 3, 4), (3, 1, 4)])
+        pair, bound = _BlockSearch(g, 0).improve(1, PathPair((0, 2, 1), (0, 3, 1), 5, 4), 15, 5, FALLBACK_BUDGET)
+        validate_pair(g, pair)
+        assert (pair.red, pair.blue, bound) == ((0, 1), (0, 2, 1), 15)
+
+    def test_relabelling_invariant(self):
+        rng = SplitMix64(569)
+        for g in suite_graphs(40, seed=569):
+            perm = list(range(g.n))
+            for i in range(g.n - 1, 0, -1):
+                j = rng.below(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+            h = make_graph(g.n, [(perm[u], perm[v], bw) for u, v, bw in g.links()])
+            for s in range(g.n):
+                full, mapped = mlbdp_full(g, s), mlbdp_full(h, perm[s])
+                assert set(mapped) == {perm[d] for d in full}
+                for d, res in full.items():
+                    other = mapped[perm[d]]
+                    validate_pair(h, other.pair)
+                    # both proven here, so the bounds match too
+                    assert other.combined == res.combined
+                    assert other.upper_bound == res.upper_bound
 
     def test_large_bandwidths(self, monkeypatch):
         # as TestBlockSweep.test_large_bandwidths: every bound and search

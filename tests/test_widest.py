@@ -1,7 +1,7 @@
 import pytest
 
-from widestpair.graph import Graph, bottleneck
-from widestpair.widest import extract_widest_path, max_bandwidth_tree
+from widestpair.graph import Graph, SplitMix64, bottleneck
+from widestpair.widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 from .conftest import make_graph, suite_graphs, widest_by_enum
 
@@ -77,6 +77,43 @@ def test_predecessor_chain_consistent():
                 p = tree.previous[v]
                 expect = g.bandwidth(p, v) if p == s else min(tree.maxbw[p], g.bandwidth(p, v))
                 assert tree.maxbw[v] == expect
+
+
+def test_closed_nodes_stop_and_dropped_link():
+    # the partner search of mlbdp_full and both MBA rounds: closed nodes,
+    # a stop node and, on linked endpoints, the link between them dropped
+    rng = SplitMix64(81)
+    for g in suite_graphs(40, seed=81, n_lo=3, n_hi=8):
+        adj = g.adjacency()
+        for s in range(g.n):
+            for t in range(g.n):
+                if t == s:
+                    continue
+                closed = {v for v in range(g.n) if v not in (s, t) and rng.below(3) == 0}
+                drop = g.has_link(s, t) and rng.below(2) == 0
+                links = [
+                    (u, v, bw) for u, v, bw in g.links()
+                    if u not in closed and v not in closed and not (drop and {u, v} == {s, t})
+                ]
+                tree = widest_tree(without_link(adj, s, t) if drop else adj, s, closed, t)
+                assert tree.maxbw[t] == widest_by_enum(make_graph(g.n, links), s, t)
+                path = extract_widest_path(tree, t)
+                if path is None:
+                    assert tree.maxbw[t] == 0
+                    continue
+                assert tree.settled[-1] == t
+                assert path[0] == s and path[-1] == t and not closed & set(path)
+                assert not (drop and path == (s, t))
+                assert bottleneck(g, path) == tree.maxbw[t]
+
+
+def test_without_link_leaves_adjacency_unchanged(five_node):
+    adj = five_node.adjacency()
+    before = [list(a) for a in adj]
+    out = without_link(adj, 0, 2)
+    assert [list(a) for a in adj] == before
+    assert [v for v, _ in out[0]] == [1, 4] and [v for v, _ in out[2]] == [3, 4]
+    assert out[1:2] + out[3:] == adj[1:2] + adj[3:]
 
 
 class TestExtract:
