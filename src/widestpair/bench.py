@@ -157,9 +157,8 @@ def _run_row(cfg: RunConfig, g: Graph, max_bw: int | None) -> SweepRow:
             if algo == "oracle":
                 continue
             for key, val in combined[algo].items():
-                assert key in oracle and oracle[key] >= val, (
-                    f"{algo} beat the oracle at {key}: {val} > {oracle.get(key)}"
-                )
+                if key not in oracle or oracle[key] < val:
+                    raise RuntimeError(f"{algo} beat the oracle at {key}: {val} > {oracle.get(key)}")
 
     feasible = len(oracle) if oracle is not None else None
     rows = []

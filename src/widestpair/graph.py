@@ -12,6 +12,8 @@ from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+# longest part of an offending line that a TopologyError quotes
+_QUOTE_CHARS = 80
 
 
 class TopologyError(ValueError):
@@ -184,7 +186,8 @@ def parse_topology(text: str) -> Graph:
     Blank lines and lines starting with '#' are ignored. The first data
     line must be ``nodes <n>``; every following data line must be
     ``link <u> <v> <bw>`` with 0-based ids and bw >= 1. Errors report
-    the offending line number.
+    the offending line number and quote at most _QUOTE_CHARS characters
+    of it.
     """
     g: Graph | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -194,21 +197,21 @@ def parse_topology(text: str) -> Graph:
         fields = line.split()
         if g is None:
             if fields[0] != "nodes" or len(fields) != 2:
-                raise TopologyError(lineno, f"expected 'nodes <n>', got {line!r}")
+                raise TopologyError(lineno, f"expected 'nodes <n>', got {_quote(line)}")
             try:
                 n = int(fields[1])
             except ValueError:
-                raise _int_error(lineno, fields[1:], f"node count is not an integer: {fields[1]!r}") from None
+                raise _int_error(lineno, fields[1:], f"node count is not an integer: {_quote(fields[1])}") from None
             if n < 1:
                 raise TopologyError(lineno, f"node count must be >= 1, got {n}")
             g = Graph(n)
             continue
         if fields[0] != "link" or len(fields) != 4:
-            raise TopologyError(lineno, f"expected 'link <u> <v> <bw>', got {line!r}")
+            raise TopologyError(lineno, f"expected 'link <u> <v> <bw>', got {_quote(line)}")
         try:
             u, v, bw = (int(f) for f in fields[1:])
         except ValueError:
-            raise _int_error(lineno, fields[1:], f"non-integer field in {line!r}") from None
+            raise _int_error(lineno, fields[1:], f"non-integer field in {_quote(line)}") from None
         try:
             g.add_link(u, v, bw)
         except ValueError as exc:
@@ -221,17 +224,25 @@ def parse_topology(text: str) -> Graph:
 def _int_error(lineno: int, fields: list[str], message: str) -> TopologyError:
     """The error for integer fields that int() refused.
 
-    int() refuses an all-digit field only when it has more digits than
-    Python parses (sys.get_int_max_str_digits()), so such a field is
-    reported by its length; anything else gets message.
+    int() refuses a field of digits, signed or not, only when it has more
+    digits than Python parses (sys.get_int_max_str_digits()), so such a
+    field is reported by its length; anything else gets message.
     """
     for f in fields:
-        if f.isascii() and f.isdigit():
+        digits = f[1:] if f[0] in "+-" else f
+        if digits.isascii() and digits.isdigit():
             try:
                 int(f)
             except ValueError:
-                return TopologyError(lineno, f"integer field is too long: {len(f)} digits")
+                return TopologyError(lineno, f"integer field is too long: {len(digits)} digits")
     return TopologyError(lineno, message)
+
+
+def _quote(text: str) -> str:
+    """repr(text), cut after its first _QUOTE_CHARS characters."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def serialize_topology(g: Graph) -> str:

@@ -22,17 +22,17 @@ biconnected block among the links >= t; so W_d + M_d bounds every pair,
 and M_d > 0 exactly when a pair exists. The sweep supplies the first
 answers; an exact depth-first search over the wider path closes the gap
 wherever the sweep's answer is below the bound, within a budget of
-search steps. An answer is optimal when its combined bandwidth equals
-its reported upper bound.
+search steps. Each answer is a DisjointResult: the pair and its proven
+upper bound; it is optimal when its combined bandwidth equals that bound.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .graph import Graph, PathPair
+from .graph import Graph, PathPair, bottleneck
 from .widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of the exact search per destination; one step is one candidate
@@ -67,25 +67,21 @@ class VNodeTable:
 
 @dataclass(frozen=True)
 class DisjointResult:
-    """Best pair found for one destination.
-
-    limit_used is the partner-bandwidth limit the pair satisfies: blue_bw
-    >= limit_used. For a pair from a limit run it is that run's limit;
-    for a pair from the exact search or the max-min pair, whose blue path
-    is the narrower one, it is blue_bw itself, the limit at which a limit
-    run would have to admit that partner.
+    """The answer for one destination, stored under that destination:
+    the best pair found and its certificate. combined is pair.combined.
 
     upper_bound is a proven bound on the combined bandwidth of every pair
-    to dest. It equals combined when the pair is proven optimal, and it
-    is larger only when the exact search ran out of budget. Single limit
-    runs and _limit_sweep leave it None.
+    to that destination. It equals combined when the pair is proven
+    optimal, and it is larger only when the exact search ran out of
+    budget. Single limit runs and _limit_sweep leave it None.
     """
 
-    dest: int
     pair: PathPair
-    combined: int
-    limit_used: int
     upper_bound: int | None = None
+
+    @property
+    def combined(self) -> int:
+        return self.pair.combined
 
 
 def unique_bandwidths(g: Graph) -> list[int]:
@@ -258,15 +254,9 @@ def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
 
     Every returned pair has partner bottleneck >= limit.
     """
-    table = run_limit_search(g, s, limit)
-    n = g.n
-    out: dict[int, DisjointResult] = {}
-    for d in range(n):
-        idx = d * n + d
-        if d != s and table.permanent[idx] and table.prev[idx] >= 0:
-            pair = reconstruct_pair(table, s, d)
-            out[d] = DisjointResult(d, pair, pair.combined, limit)
-    return out
+    best: dict[int, PathPair] = {}
+    _keep_improved(run_limit_search(g, s, limit), [d for d in range(g.n) if d != s], best)
+    return {d: DisjointResult(pair) for d, pair in best.items()}
 
 
 def _source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[int, int, int]]]:
@@ -350,20 +340,17 @@ def _limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
     with s, and every simple path between two nodes of a block stays in
     it, so the sweep runs on each such block alone (same node ids) over
     the block's own bandwidths. Every vnode with both coordinates in the
-    block sees the same pops as in the whole-graph run, and a block
-    limit answers for every graph-wide limit above the block's previous
-    bandwidth; limit_used reports the smallest of those, the one the
-    whole-graph sweep would keep. A pair is rebuilt only when it beats
-    the destination's best so far.
+    block sees the same pops as in the whole-graph run, so the answers
+    are the whole-graph sweep's. A pair is rebuilt only when it beats the
+    destination's best so far.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range 0..{g.n - 1}")
-    limits = unique_bandwidths(g)
-    best: dict[int, DisjointResult] = {}
+    best: dict[int, PathPair] = {}
     for links in _source_blocks(g.adjacency(), s):
         block = _block_graph(g.n, links)
-        _sweep_block(block, s, sorted({v for _, v, _ in links} - {s}), limits, best)
-    return dict(sorted(best.items()))
+        _sweep_block(block, s, sorted({v for _, v, _ in links} - {s}), best)
+    return {d: DisjointResult(best[d]) for d in sorted(best)}
 
 
 def _block_graph(n: int, links: list[tuple[int, int, int]]) -> Graph:
@@ -377,8 +364,7 @@ def _sweep_block(
     block: Graph,
     s: int,
     dests: list[int],
-    limits: list[int],
-    best: dict[int, DisjointResult],
+    best: dict[int, PathPair],
     bounds: dict[int, tuple[int, int]] | None = None,
 ) -> None:
     """Limit runs over the block's bandwidths, ascending, into best.
@@ -388,19 +374,16 @@ def _sweep_block(
     bound: the narrower path of any pair to d carries at most M_d, so a
     higher limit cannot be the optimum's partner limit.
     """
-    floor = 0
     for limit in unique_bandwidths(block):
         if bounds is not None and all(
             limit > m or (d in best and best[d].combined == ub) for d, (ub, m) in bounds.items()
         ):
             break
-        used = limits[bisect.bisect_right(limits, floor)]
-        floor = limit
         # the table is freed before the next run allocates its own
-        _keep_improved(run_limit_search(block, s, limit), dests, used, best)
+        _keep_improved(run_limit_search(block, s, limit), dests, best)
 
 
-def _keep_improved(table: VNodeTable, dests: list[int], used: int, best: dict[int, DisjointResult]) -> None:
+def _keep_improved(table: VNodeTable, dests: list[int], best: dict[int, PathPair]) -> None:
     """Record each reached destination whose (combined, min bottleneck)
     beats its best so far, rebuilding only those pairs."""
     n, s = table.n, table.source
@@ -410,8 +393,8 @@ def _keep_improved(table: VNodeTable, dests: list[int], used: int, best: dict[in
         if perm[idx]:
             rd, bd = r[idx], b[idx]
             cur = best.get(d)
-            if cur is None or (rd + bd, min(rd, bd)) > (cur.combined, min(cur.pair.red_bw, cur.pair.blue_bw)):
-                best[d] = DisjointResult(d, reconstruct_pair(table, s, d), rd + bd, used)
+            if cur is None or (rd + bd, min(rd, bd)) > (cur.combined, min(cur.red_bw, cur.blue_bw)):
+                best[d] = reconstruct_pair(table, s, d)
 
 
 def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
@@ -437,28 +420,28 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range 0..{g.n - 1}")
-    limits = unique_bandwidths(g)
-    best: dict[int, DisjointResult] = {}
+    out: dict[int, DisjointResult] = {}
     for links in _source_blocks(g.adjacency(), s):
         block = _block_graph(g.n, links)
         width = max_bandwidth_tree(block, s).maxbw
         bounds = {d: (width[d] + m, m) for d, m in _max_min_bounds(g.n, links, s).items()}
         dests = sorted(bounds)
-        _sweep_block(block, s, dests, limits, best, bounds)
+        best: dict[int, PathPair] = {}
+        _sweep_block(block, s, dests, best, bounds)
         search = None
         for d in dests:
             ub, m = bounds[d]
-            res = best.get(d)
-            if res is None or res.combined < ub:
+            pair = best.get(d)
+            if pair is None or pair.combined < ub:
                 search = search or _BlockSearch(block, s)
-                pair = res.pair if res is not None else None
-                if pair is None or pair.combined < 2 * m:
-                    pair = search.max_min_pair(d, m)
-                found, ub = search.improve(d, pair, ub, m, FALLBACK_BUDGET)
-                if res is None or found.combined > res.combined:
-                    res = DisjointResult(d, found, found.combined, found.blue_bw)
-            best[d] = replace(res, upper_bound=ub)
-    return dict(sorted(best.items()))
+                start = pair
+                if start is None or start.combined < 2 * m:
+                    start = search.max_min_pair(d, m)
+                found, ub = search.improve(d, start, ub, m, FALLBACK_BUDGET)
+                if pair is None or found.combined > pair.combined:
+                    pair = found
+            out[d] = DisjointResult(pair, ub)
+    return dict(sorted(out.items()))
 
 
 class _BlockSearch:
@@ -594,7 +577,7 @@ class _BlockSearch:
 
     def _pair(self, p: tuple[int, ...], q: tuple[int, ...]) -> PathPair:
         """The pair with the wider path red."""
-        bp, bq = (min(self.block.bandwidth(u, v) for u, v in zip(x, x[1:])) for x in (p, q))
+        bp, bq = bottleneck(self.block, p), bottleneck(self.block, q)
         return PathPair(p, q, bp, bq) if bp >= bq else PathPair(q, p, bq, bp)
 
     def improve(

@@ -1,4 +1,8 @@
+import contextlib
 import importlib
+import io
+import re
+from pathlib import Path
 
 import widestpair
 from widestpair import bench
@@ -42,3 +46,12 @@ def test_dropped_names_stay_in_their_submodules():
 
 def test_solver_table_is_the_algorithm_list():
     assert tuple(bench.SOLVERS) == bench.ALGORITHMS
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines()[:2] == ["(0, 2, 4, 3) (0, 1, 3) 19", "19"]

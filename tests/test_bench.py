@@ -10,7 +10,7 @@ from widestpair.bench import (
     write_report_csv,
 )
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import generate_random_graph, parse_topology
+from widestpair.graph import PathPair, generate_random_graph, parse_topology
 from widestpair.mba import mba_pair
 
 
@@ -193,3 +193,14 @@ class TestSolverTable:
         g = parse_topology("nodes 4\nlink 0 2 47\nlink 0 3 8\nlink 1 2 49\nlink 1 3 34\nlink 2 3 19\n")
         report = run_benchmark(RunConfig(graph=g, label="witness", sweep=None))
         assert {a.algo: a.unproven for a in report.rows[0].algos} == {"mlbdp": 1, "mba": 0, "oracle": 0}
+
+    def test_heuristic_beating_oracle_raises(self, five_node, monkeypatch):
+        # the check must hold under python -O too, so it cannot be an assert
+        def inflated(g, s, d):
+            pair = mba_pair(g, s, d)
+            return None if pair is None else PathPair(pair.red, pair.blue, pair.red_bw + 100, pair.blue_bw)
+
+        monkeypatch.setattr(bench, "mba_pair", inflated)
+        cfg = RunConfig(graph=five_node, label="five", sweep=None, algos=("mba", "oracle"))
+        with pytest.raises(RuntimeError, match="mba beat the oracle"):
+            run_benchmark(cfg)

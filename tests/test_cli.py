@@ -88,6 +88,15 @@ class TestSolve:
         assert rc == 2
         assert "line 2: integer field is too long: 5000 digits" in capsys.readouterr().err
 
+    def test_long_line_error_is_short(self, tmp_path, capsys):
+        path = tmp_path / "long.topo"
+        path.write_text("nodes 2\nlink 0 1 x" + "7" * 100_000 + "\n")
+        rc = main(["solve", "--topology", str(path), "--source", "0", "--dest", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2: non-integer field in 'link 0 1 x777" in err
+        assert len(err) < 300
+
 
 class TestOracleCommand:
     def test_finds_optimum(self, topo_file, capsys):

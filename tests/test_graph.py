@@ -73,6 +73,37 @@ class TestParse:
         with pytest.raises(TopologyError, match="line 1: node count is not an integer"):
             parse_topology("nodes x" + "9" * 5000)
 
+    def test_signed_too_long_field(self):
+        for sign in "-+":
+            with pytest.raises(TopologyError, match="line 2: integer field is too long: 5000 digits"):
+                parse_topology("nodes 2\nlink 0 1 " + sign + "7" * 5000)
+            with pytest.raises(TopologyError, match="line 1: integer field is too long: 5000 digits"):
+                parse_topology("nodes " + sign + "9" * 5000)
+
+    def test_long_line_quoted_cut(self):
+        for text, lineno, head in [
+            ("nodes 2\nlink 0 1 x" + "7" * 100_000, 2, "non-integer field in 'link 0 1 x777"),
+            ("foo" + "x" * 100_000, 1, "expected 'nodes <n>', got 'fooxxx"),
+            ("nodes 2\nlink 0 1 2 " + "x" * 100_000, 2, "expected 'link <u> <v> <bw>', got 'link 0 1 2 xxx"),
+            ("nodes x" + "9" * 100_000, 1, "node count is not an integer: 'x999"),
+        ]:
+            with pytest.raises(TopologyError) as info:
+                parse_topology(text)
+            message = str(info.value)
+            assert message.startswith(f"line {lineno}: {head}")
+            assert len(message) < 200
+
+    def test_short_line_quoted_whole(self):
+        for text, message in [
+            ("nodes 2\nlink 0 1 x", "line 2: non-integer field in 'link 0 1 x'"),
+            ("foo", "line 1: expected 'nodes <n>', got 'foo'"),
+            ("nodes 2\nlink 0 1", "line 2: expected 'link <u> <v> <bw>', got 'link 0 1'"),
+            ("nodes x", "line 1: node count is not an integer: 'x'"),
+        ]:
+            with pytest.raises(TopologyError) as info:
+                parse_topology(text)
+            assert str(info.value) == message
+
     def test_missing_nodes_line(self):
         with pytest.raises(TopologyError):
             parse_topology("# only a comment\n")

@@ -71,7 +71,7 @@ class TestSingleRun:
         res = mlbdp_single(five_node, 0, 7)[3]
         assert res.pair.red == (0, 2, 4, 3) and res.pair.red_bw == 12
         assert res.pair.blue == (0, 1, 3) and res.pair.blue_bw == 7
-        assert res.combined == 19 and res.limit_used == 7
+        assert res.combined == 19
 
     def test_five_node_settle_order(self, five_node):
         # the narrated extraction order: (2,1) first, then (4,1) over
@@ -120,8 +120,6 @@ class TestFullSweep:
             frozenset({0, 2, 4, 3}),
             frozenset({0, 1, 3}),
         }
-        # every limit up to 7 achieves (19, min 7); ties keep the smallest
-        assert res.limit_used == 1
 
     def test_trap_graph(self, trap):
         res = mlbdp_full(trap, 0)[3]
@@ -146,7 +144,6 @@ class TestFullSweep:
         for g in suite_graphs(15, seed=556):
             for s in range(g.n):
                 for res in mlbdp_full(g, s).values():
-                    assert res.pair.blue_bw >= res.limit_used
                     assert res.combined == res.pair.red_bw + res.pair.blue_bw
 
 
@@ -167,7 +164,7 @@ def _reference_sweep(g, s):
 
 def _fields(results):
     return {
-        d: (r.pair.red, r.pair.blue, r.pair.red_bw, r.pair.blue_bw, r.combined, r.limit_used)
+        d: (r.pair.red, r.pair.blue, r.pair.red_bw, r.pair.blue_bw, r.combined)
         for d, r in results.items()
     }
 
@@ -204,7 +201,7 @@ class TestBlockSweep:
         block_bws = {bw for links in _source_blocks(g.adjacency(), 0) for _, _, bw in links}
         assert 14 in unique_bandwidths(g) and 14 not in block_bws
         res = mlbdp_full(g, 0)[2]
-        assert (res.combined, res.limit_used) == (32, 14)
+        assert res.combined == 32
         assert res.pair.blue_bw >= 15
 
     def test_blocks_hold_every_feasible_destination(self):
@@ -232,7 +229,6 @@ class TestBlockSweep:
                         big(r.pair.red_bw),
                         big(r.pair.blue_bw),
                         big(r.pair.red_bw) + big(r.pair.blue_bw),
-                        big(r.limit_used),
                     )
                     for d, r in _limit_sweep(g, s).items()
                 }
@@ -262,7 +258,7 @@ class TestCertified:
         res = mlbdp_full(g, 3)[0]
         assert (res.pair.red, res.pair.blue) == ((3, 1, 2, 0), (3, 0))
         assert res.combined == res.upper_bound == 42
-        assert res.limit_used == res.pair.blue_bw == 8
+        assert res.pair.blue_bw == 8
 
     def test_witness_without_budget(self, monkeypatch):
         monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", 0)
@@ -299,7 +295,6 @@ class TestCertified:
                 for d, res in mlbdp_full(g, s).items():
                     validate_pair(g, res.pair)
                     assert res.pair.red[0] == s and res.pair.red[-1] == d
-                    assert res.pair.blue_bw >= res.limit_used
                     assert res.combined <= optimal_pair_bruteforce(g, s, d)[1] <= res.upper_bound
 
     def test_max_min_bounds(self):
@@ -370,7 +365,7 @@ class TestCertified:
                 for s in range(g.n):
                     want = {
                         d: (r.pair.red, r.pair.blue, big(r.pair.red_bw), big(r.pair.blue_bw),
-                            big_sum(r.combined), big(r.limit_used), big_sum(r.upper_bound))
+                            big_sum(r.combined), big_sum(r.upper_bound))
                         for d, r in mlbdp_full(g, s).items()
                     }
                     got = {
