@@ -1,10 +1,11 @@
 """Benchmark harness: all ordered pairs, bandwidth sweeps, CSV reports.
 
-Every algorithm is one entry of SOLVERS: fn(g, s, dests, path_cap)
-returns {d: (pair, upper_bound)} for the destinations in dests that have
-a pair. upper_bound is mlbdp_full's certificate, the combined bandwidth
-itself for the oracle, and None for MBA, which proves nothing. The CLI
-answers one query with one call; the benchmark times one call per source.
+Every algorithm is one entry of SOLVERS: fn(g, s, dests) returns
+{d: (pair, upper_bound)} for the destinations in dests that have a pair.
+upper_bound is mlbdp_full's certificate, the combined bandwidth itself
+for the oracle, and None for MBA, which proves nothing. The oracle
+stops at exact.PATH_CAP simple paths per query. The CLI answers one
+query with one call; the benchmark times one call per source.
 
 For each maximum-bandwidth value in the sweep, link capacities are
 redrawn with the configured seed and every selected algorithm runs over
@@ -24,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .exact import DEFAULT_PATH_CAP, optimal_pair_bruteforce
+from .exact import optimal_pair_bruteforce
 from .graph import Graph, PathPair, assign_random_bandwidths
 from .mba import mba_pair
 from .mlbdp import mlbdp_full
@@ -41,12 +42,12 @@ Answers = dict[int, tuple[PathPair, int | None]]  # dest -> (pair, upper bound)
 # The solvers look mlbdp_full, mba_pair and optimal_pair_bruteforce up
 # as module globals at call time, so rebinding them here (as a tracer
 # does) reaches every caller of the table.
-def _mlbdp(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
+def _mlbdp(g: Graph, s: int, dests: Iterable[int]) -> Answers:
     res = mlbdp_full(g, s)
     return {d: (res[d].pair, res[d].upper_bound) for d in dests if d in res}
 
 
-def _mba(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
+def _mba(g: Graph, s: int, dests: Iterable[int]) -> Answers:
     out = {}
     for d in dests:
         pair = mba_pair(g, s, d)
@@ -55,10 +56,10 @@ def _mba(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
     return out
 
 
-def _oracle(g: Graph, s: int, dests: Iterable[int], path_cap: int) -> Answers:
+def _oracle(g: Graph, s: int, dests: Iterable[int]) -> Answers:
     out = {}
     for d in dests:
-        res = optimal_pair_bruteforce(g, s, d, path_cap)
+        res = optimal_pair_bruteforce(g, s, d)
         if res is not None:
             out[d] = res
     return out
@@ -84,7 +85,6 @@ class RunConfig:
     seed: int = 1
     algos: tuple[str, ...] = ALGORITHMS
     miss_policy: str = "full"
-    path_cap: int = DEFAULT_PATH_CAP
 
     def __post_init__(self) -> None:
         for a in self.algos:
@@ -141,7 +141,7 @@ def _run_row(cfg: RunConfig, g: Graph, max_bw: int | None) -> SweepRow:
         for s in range(g.n):
             dests = [d for d in range(g.n) if d != s]
             t0 = time.perf_counter()
-            res = solve(g, s, dests, cfg.path_cap)
+            res = solve(g, s, dests)
             elapsed += time.perf_counter() - t0
             for d, (pair, upper_bound) in res.items():
                 found[(s, d)] = pair.combined

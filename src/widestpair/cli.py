@@ -18,11 +18,12 @@ from .bench import (
     write_plot_data,
     write_report_csv,
 )
-from .exact import DEFAULT_PATH_CAP, EnumerationCapError, export_ilp
+from .exact import EnumerationCapError, export_ilp
 from .graph import (
     Graph,
     TopologyError,
     assign_random_bandwidths,
+    check_query,
     generate_random_graph,
     parse_topology,
     serialize_topology,
@@ -50,18 +51,11 @@ def _print_pair(pair, s: int, t: int) -> None:
     print(f"combined: {pair.combined}")
 
 
-def _check_query(g: Graph, s: int, t: int) -> None:
-    if not 0 <= s < g.n or not 0 <= t < g.n:
-        raise ValueError(f"endpoint out of range 0..{g.n - 1}")
-    if s == t:
-        raise ValueError("source and destination must differ")
-
-
 def _cmd_solve(args) -> int:
     g = _load(args.topology)
     s, t = args.source, args.dest
-    _check_query(g, s, t)
-    pair, upper_bound = SOLVERS[args.algo](g, s, (t,), args.path_cap).get(t, (None, None))
+    check_query(g, s, t)
+    pair, upper_bound = SOLVERS[args.algo](g, s, (t,)).get(t, (None, None))
     _print_pair(pair, s, t)
     if upper_bound is not None and upper_bound != pair.combined:
         print(f"not proven optimal: upper bound {upper_bound}, gap {upper_bound - pair.combined}")
@@ -95,7 +89,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         algos=tuple(args.algos.split(",")),
         miss_policy=args.miss_policy,
-        path_cap=args.path_cap,
     )
     report = run_benchmark(cfg)
     unproven = sum(a.unproven for row in report.rows for a in row.algos)
@@ -148,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--dest", type=int, required=True)
     p.add_argument("--algo", choices=ALGORITHMS, default="mlbdp")
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="benchmark algorithms over all ordered pairs")
@@ -160,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algos", default=",".join(ALGORITHMS))
     p.add_argument("--miss-policy", choices=MISS_POLICIES, default="full")
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     p.add_argument("--out", help="directory for report.csv (stdout when omitted)")
     p.add_argument("--plot-data", action="store_true", help="also write per-metric series files")
     p.set_defaults(func=_cmd_bench)
@@ -184,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True)
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--dest", type=int, required=True)
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     p.set_defaults(func=_cmd_solve, algo="oracle")
 
     return parser

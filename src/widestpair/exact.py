@@ -1,10 +1,11 @@
 """Ground truth for small instances: exhaustive pair search and ILP export.
 
 The brute-force search enumerates every simple path and scans disjoint
-pairings, so it is exact but only usable at desk scale (a path cap
-guards against blowups). The ILP builder emits the equivalent
-mixed-integer model in LP text format for external solvers; a constraint
-evaluator lets tests walk known pairs through the emitted model.
+pairings, so it is exact but only usable at desk scale: a query with more
+than PATH_CAP simple paths raises EnumerationCapError. The ILP builder
+emits the equivalent mixed-integer model in LP text format for external
+solvers; a constraint evaluator lets tests walk known pairs through the
+emitted model.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Graph, PathPair, bottleneck
+from .graph import Graph, PathPair, bottleneck, check_query
 
-DEFAULT_PATH_CAP = 100_000
+# simple paths one query may enumerate; read at call time
+PATH_CAP = 100_000
 
 
 class EnumerationCapError(RuntimeError):
-    """The number of simple paths exceeds the configured cap."""
+    """The number of simple paths exceeds PATH_CAP."""
 
 
 def delta(x: int, s: int, t: int) -> int:
@@ -31,20 +33,14 @@ def delta(x: int, s: int, t: int) -> int:
     return 0
 
 
-def enumerate_simple_paths(
-    g: Graph, s: int, t: int, cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
     """All simple s-t paths in depth-first order, neighbors ascending.
 
-    Raises EnumerationCapError when more than cap paths exist, which
+    Raises EnumerationCapError when more than PATH_CAP paths exist, which
     signals the instance is too large for brute force.
     """
-    if not 0 <= s < g.n or not 0 <= t < g.n:
-        raise ValueError("endpoint out of range")
-    if s == t:
-        raise ValueError("source and destination must differ")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    check_query(g, s, t)
+    cap = PATH_CAP
     adj = g.adjacency()
     out: list[tuple[int, ...]] = []
     path = [s]
@@ -69,9 +65,7 @@ def enumerate_simple_paths(
     return out
 
 
-def optimal_pair_bruteforce(
-    g: Graph, s: int, t: int, cap: int = DEFAULT_PATH_CAP
-) -> tuple[PathPair, int] | None:
+def optimal_pair_bruteforce(g: Graph, s: int, t: int) -> tuple[PathPair, int] | None:
     """Exact optimum over internally node-disjoint s-t path pairs.
 
     Returns (pair, combined bottleneck sum) or None when no pair exists.
@@ -79,7 +73,7 @@ def optimal_pair_bruteforce(
     lexicographically smallest node sequences, so output is
     deterministic.
     """
-    paths = enumerate_simple_paths(g, s, t, cap)
+    paths = enumerate_simple_paths(g, s, t)
     entries = []
     for p in paths:
         mask = 0
@@ -172,10 +166,7 @@ def build_ilp(g: Graph, s: int, t: int) -> IlpModel:
     bottleneck row per color covering both arc directions; per link, at
     most one colored arc in total.
     """
-    if not 0 <= s < g.n or not 0 <= t < g.n:
-        raise ValueError("endpoint out of range")
-    if s == t:
-        raise ValueError("source and destination must differ")
+    check_query(g, s, t)
     links = g.links()
     if not links:
         raise ValueError("graph has no links")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-# longest part of an offending line that a TopologyError quotes
+# longest part of an offending line or integer that an error quotes
 _QUOTE_CHARS = 80
 
 
@@ -45,7 +45,7 @@ class Graph:
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
-            raise ValueError(f"node id {u} out of range 0..{self.n - 1}")
+            raise ValueError(f"node id {_quote_int(u)} out of range 0..{self.n - 1}")
 
     def add_link(self, u: int, v: int, bw: int) -> None:
         self._check_node(u)
@@ -55,7 +55,7 @@ class Graph:
         if v in self._adj[u]:
             raise ValueError(f"duplicate link {min(u, v)}-{max(u, v)}")
         if bw < 1:
-            raise ValueError(f"bandwidth must be >= 1, got {bw}")
+            raise ValueError(f"bandwidth must be >= 1, got {_quote_int(bw)}")
         self._adj[u][v] = bw
         self._adj[v][u] = bw
         self._m += 1
@@ -95,20 +95,6 @@ class Graph:
             self._snapshot = [sorted(d.items()) for d in self._adj]
         return self._snapshot
 
-    def connected(self) -> bool:
-        """Breadth-first reachability of all nodes from node 0."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return len(seen) == self.n
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -130,6 +116,18 @@ class PathPair:
     @property
     def combined(self) -> int:
         return self.red_bw + self.blue_bw
+
+
+def check_query(g: Graph, s: int, t: int | None = None) -> None:
+    """Raise ValueError unless s, and t when given, are distinct node ids of g."""
+    if not 0 <= s < g.n:
+        raise ValueError(f"source {_quote_int(s)} out of range 0..{g.n - 1}")
+    if t is None:
+        return
+    if not 0 <= t < g.n:
+        raise ValueError(f"destination {_quote_int(t)} out of range 0..{g.n - 1}")
+    if s == t:
+        raise ValueError("source and destination must differ")
 
 
 def bottleneck(g: Graph, path: Sequence[int]) -> int:
@@ -187,7 +185,7 @@ def parse_topology(text: str) -> Graph:
     line must be ``nodes <n>``; every following data line must be
     ``link <u> <v> <bw>`` with 0-based ids and bw >= 1. Errors report
     the offending line number and quote at most _QUOTE_CHARS characters
-    of it.
+    of it, or of an integer they name.
     """
     g: Graph | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -203,7 +201,7 @@ def parse_topology(text: str) -> Graph:
             except ValueError:
                 raise _int_error(lineno, fields[1:], f"node count is not an integer: {_quote(fields[1])}") from None
             if n < 1:
-                raise TopologyError(lineno, f"node count must be >= 1, got {n}")
+                raise TopologyError(lineno, f"node count must be >= 1, got {_quote_int(n)}")
             g = Graph(n)
             continue
         if fields[0] != "link" or len(fields) != 4:
@@ -243,6 +241,15 @@ def _quote(text: str) -> str:
     if len(text) <= _QUOTE_CHARS:
         return repr(text)
     return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
+def _quote_int(x: int) -> str:
+    """str(x), cut after its first _QUOTE_CHARS characters and then
+    followed by its digit count."""
+    text = str(x)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}... ({len(text.lstrip('-'))} digits)"
 
 
 def serialize_topology(g: Graph) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 
-from .graph import Graph, PathPair, bottleneck
+from .graph import Graph, PathPair, bottleneck, check_query
 from .widest import Adjacency, widest_tree, without_link
 
 
@@ -81,10 +81,7 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     sweep on what is left. Returns None as soon as either round finds
     nothing.
     """
-    if not 0 <= s < g.n or not 0 <= t < g.n:
-        raise ValueError("endpoint out of range")
-    if s == t:
-        raise ValueError("source and destination must differ")
+    check_query(g, s, t)
     adj = g.adjacency()
     first = _round_path(adj, s, t, set())
     if first is None:

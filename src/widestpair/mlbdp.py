@@ -32,7 +32,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 
-from .graph import Graph, PathPair, bottleneck
+from .graph import Graph, PathPair, bottleneck, check_query
 from .widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of the exact search per destination; one step is one candidate
@@ -73,7 +73,7 @@ class DisjointResult:
     upper_bound is a proven bound on the combined bandwidth of every pair
     to that destination. It equals combined when the pair is proven
     optimal, and it is larger only when the exact search ran out of
-    budget. Single limit runs and _limit_sweep leave it None.
+    budget. _limit_sweep leaves it None.
     """
 
     pair: PathPair
@@ -139,8 +139,7 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     once it is permanent, so an entry is stale exactly when it differs
     from key_of and a relaxation wins exactly when its key is smaller.
     """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    check_query(g, s)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     n = g.n
@@ -249,16 +248,6 @@ def reconstruct_pair(table: VNodeTable, s: int, d: int) -> PathPair:
     return PathPair(tuple(red), tuple(blue), table.r[idx], table.b[idx])
 
 
-def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
-    """One limit run; a result for every destination it reached.
-
-    Every returned pair has partner bottleneck >= limit.
-    """
-    best: dict[int, PathPair] = {}
-    _keep_improved(run_limit_search(g, s, limit), [d for d in range(g.n) if d != s], best)
-    return {d: DisjointResult(pair) for d, pair in best.items()}
-
-
 def _source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[int, int, int]]]:
     """Links of every biconnected block of s with 3 or more nodes, from
     per-node (neighbor, bandwidth) lists.
@@ -344,8 +333,7 @@ def _limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
     are the whole-graph sweep's. A pair is rebuilt only when it beats the
     destination's best so far.
     """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    check_query(g, s)
     best: dict[int, PathPair] = {}
     for links in _source_blocks(g.adjacency(), s):
         block = _block_graph(g.n, links)
@@ -418,8 +406,7 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
 
     Results depend only on the graph and s, never on timing.
     """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    check_query(g, s)
     out: dict[int, DisjointResult] = {}
     for links in _source_blocks(g.adjacency(), s):
         block = _block_graph(g.n, links)
@@ -643,20 +630,3 @@ class _BlockSearch:
                 on ^= 1 << path.pop()
         return pair, inc
 
-
-def virtual_link_count(g: Graph) -> int:
-    """Count undirected links of the implicit virtual topology.
-
-    Walks every vnode (i, j) summing its outgoing moves (one per
-    neighbor of i plus one per neighbor of j); every virtual link is
-    seen from both of its endpoint vnodes.
-    """
-    adj = g.adjacency()
-    n = g.n
-    ends = 0
-    for i in range(n):
-        di = len(adj[i])
-        for j in range(n):
-            ends += di + len(adj[j])
-    assert ends % 2 == 0
-    return ends // 2

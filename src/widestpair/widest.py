@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, check_query
 
 Adjacency = list[list[tuple[int, int]]]
 
@@ -92,8 +92,7 @@ def widest_tree(adj: Adjacency, s: int, closed: Iterable[int] = (), stop: int = 
 
 def max_bandwidth_tree(g: Graph, s: int) -> WidestTree:
     """Compute per-node maximum bottleneck bandwidth from s (see widest_tree)."""
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    check_query(g, s)
     return widest_tree(g.adjacency(), s)
 
 

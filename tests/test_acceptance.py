@@ -29,11 +29,12 @@ from widestpair.graph import (
     serialize_topology,
 )
 from widestpair.mba import mba_pair
-from widestpair.mlbdp import mlbdp_full, mlbdp_single, unique_bandwidths, virtual_link_count
+from widestpair.mlbdp import mlbdp_full, unique_bandwidths
 from widestpair.sample import FIVE_NODE_TEXT, five_node_network
 from widestpair.widest import max_bandwidth_tree
 
 from .conftest import TRAP_LINKS, make_graph, suite_graphs, widest_by_enum
+from .helpers import mlbdp_single, virtual_link_count
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from widestpair import mlbdp
+from widestpair import exact, mlbdp
 from widestpair.cli import main
 from widestpair.graph import parse_topology
 from widestpair.sample import FIVE_NODE_TEXT
+
+from .helpers import connected
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,10 +115,9 @@ class TestOracleCommand:
         assert rc == 0
         assert "combined: 2\n" in capsys.readouterr().out
 
-    def test_cap_exceeded_exit_code(self, topo_file, capsys):
-        rc = main(
-            ["oracle", "--topology", topo_file, "--source", "0", "--dest", "3", "--path-cap", "3"]
-        )
+    def test_cap_exceeded_exit_code(self, topo_file, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "PATH_CAP", 3)
+        rc = main(["oracle", "--topology", topo_file, "--source", "0", "--dest", "3"])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
@@ -125,12 +126,14 @@ class TestOracleCommand:
         [
             ("topo_file", ["--source", "0", "--dest", "3"], 0),
             ("tree_file", ["--source", "0", "--dest", "3"], 0),
-            ("topo_file", ["--source", "0", "--dest", "3", "--path-cap", "3"], 3),
+            ("topo_file", ["--source", "0", "--dest", "3"], 3),
             ("topo_file", ["--source", "3", "--dest", "3"], 2),
         ],
     )
-    def test_same_as_solve_with_oracle_algo(self, request, capsys, topology, query, rc):
+    def test_same_as_solve_with_oracle_algo(self, request, capsys, monkeypatch, topology, query, rc):
         path = request.getfixturevalue(topology)
+        if rc == 3:
+            monkeypatch.setattr(exact, "PATH_CAP", 3)
         assert main(["oracle", "--topology", path, *query]) == rc
         oracle = capsys.readouterr()
         assert main(["solve", "--topology", path, *query, "--algo", "oracle"]) == rc
@@ -143,7 +146,7 @@ class TestGen:
         rc = main(["gen", "--nodes", "10", "--links", "20", "--seed", "7", "--out", str(out)])
         assert rc == 0
         g = parse_topology(out.read_text())
-        assert g.n == 10 and g.m == 20 and g.connected()
+        assert g.n == 10 and g.m == 20 and connected(g)
         assert all(bw == 1 for _, _, bw in g.links())
 
     def test_max_bw_option(self, tmp_path, capsys):
@@ -198,6 +201,12 @@ class TestBenchCommand:
         monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", 0)
         assert main(args) == 0
         assert "note: 1 mlbdp answers are not proven optimal" in capsys.readouterr().err
+
+    def test_path_cap_exit_code(self, topo_file, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "PATH_CAP", 3)
+        rc = main(["bench", "--topology", topo_file, "--sweep", "fixed", "--algos", "oracle"])
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_gen_source_and_outdir(self, tmp_path, capsys):
         rc = main(

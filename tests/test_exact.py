@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from widestpair import exact
 from widestpair.exact import (
     EnumerationCapError,
     build_ilp,
@@ -58,9 +59,10 @@ class TestEnumeration:
         paths = enumerate_simple_paths(g, 0, n // 2)
         assert paths == [tuple(range(n // 2 + 1)), (0, *range(n - 1, n // 2 - 1, -1))]
 
-    def test_cap_enforced(self, five_node):
+    def test_cap_enforced(self, five_node, monkeypatch):
+        monkeypatch.setattr(exact, "PATH_CAP", 3)
         with pytest.raises(EnumerationCapError):
-            enumerate_simple_paths(five_node, 0, 3, cap=3)
+            enumerate_simple_paths(five_node, 0, 3)
 
     def test_bad_args(self, five_node):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from widestpair.graph import (
 from widestpair.sample import FIVE_NODE_TEXT
 
 from .conftest import suite_graphs
+from .helpers import connected
 
 
 class TestParse:
@@ -99,6 +100,32 @@ class TestParse:
             ("foo", "line 1: expected 'nodes <n>', got 'foo'"),
             ("nodes 2\nlink 0 1", "line 2: expected 'link <u> <v> <bw>', got 'link 0 1'"),
             ("nodes x", "line 1: node count is not an integer: 'x'"),
+        ]:
+            with pytest.raises(TopologyError) as info:
+                parse_topology(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodes 5\nlink {n} 1 5", "line 2: node id {q}... (4000 digits) out of range 0..4"),
+            ("nodes -{n}", "line 1: node count must be >= 1, got -{q9}... (4000 digits)"),
+            ("nodes 5\nlink 0 1 -{n}", "line 2: bandwidth must be >= 1, got -{q9}... (4000 digits)"),
+        ],
+        ids=["node-id", "node-count", "bandwidth"],
+    )
+    def test_long_integer_quoted_cut(self, text, message):
+        # 4,000 digits parse, so the error is the graph's, which quotes the
+        # integer's first 80 characters (sign included) and its digit count
+        with pytest.raises(TopologyError) as info:
+            parse_topology(text.format(n="9" * 4000))
+        assert str(info.value) == message.format(q="9" * 80, q9="9" * 79)
+
+    def test_short_integer_quoted_whole(self):
+        for text, message in [
+            ("nodes 5\nlink 7 1 5", "line 2: node id 7 out of range 0..4"),
+            ("nodes -3", "line 1: node count must be >= 1, got -3"),
+            ("nodes 5\nlink 0 1 -2", "line 2: bandwidth must be >= 1, got -2"),
         ]:
             with pytest.raises(TopologyError) as info:
                 parse_topology(text)
@@ -200,11 +227,11 @@ class TestGenerate:
 
     def test_spanning_tree(self):
         g = generate_random_graph(5, 4, seed=5)
-        assert g.m == 4 and g.connected()
+        assert g.m == 4 and connected(g)
 
     def test_counts_and_connectivity(self):
         g = generate_random_graph(10, 20, seed=7)
-        assert g.n == 10 and g.m == 20 and g.connected()
+        assert g.n == 10 and g.m == 20 and connected(g)
 
     def test_deterministic(self):
         assert generate_random_graph(10, 20, seed=7) == generate_random_graph(10, 20, seed=7)
@@ -215,7 +242,7 @@ class TestGenerate:
             m_hi = n * (n - 1) // 2
             m = n - 1 + k % (m_hi - n + 2)
             g = generate_random_graph(n, m, seed=k)
-            assert g.m == m and g.connected()
+            assert g.m == m and connected(g)
 
     @pytest.mark.parametrize("n,m", [(5, 3), (5, 11), (4, 2), (2, 2)])
     def test_infeasible(self, n, m):

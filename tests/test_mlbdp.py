@@ -13,14 +13,13 @@ from widestpair.mlbdp import (
     _max_min_bounds,
     _source_blocks,
     mlbdp_full,
-    mlbdp_single,
     reconstruct_pair,
     run_limit_search,
     unique_bandwidths,
-    virtual_link_count,
 )
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
+from .helpers import mlbdp_single, virtual_link_count
 
 
 class TestUniqueBandwidths:

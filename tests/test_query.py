@@ -1,0 +1,79 @@
+"""One endpoint contract for every query: graph.check_query.
+
+Every solver, the path enumeration, the ILP builder and the CLI commands
+reject a bad (source, destination) query with the same three messages.
+"""
+
+import pytest
+
+from widestpair.cli import main
+from widestpair.exact import build_ilp, enumerate_simple_paths, optimal_pair_bruteforce
+from widestpair.graph import check_query
+from widestpair.mba import mba_pair
+from widestpair.mlbdp import _limit_sweep, mlbdp_full, run_limit_search
+from widestpair.sample import FIVE_NODE_TEXT, five_node_network
+from widestpair.widest import max_bandwidth_tree
+
+SOURCE_ERRORS = [
+    (5, "source 5 out of range 0..4"),
+    (-1, "source -1 out of range 0..4"),
+    # an integer an error names is quoted to its first 80 characters
+    (10**4000 - 1, f"source {'9' * 80}... (4000 digits) out of range 0..4"),
+]
+QUERY_ERRORS = [
+    (5, 0, "source 5 out of range 0..4"),
+    (0, 5, "destination 5 out of range 0..4"),
+    (0, -1, "destination -1 out of range 0..4"),
+    (2, 2, "source and destination must differ"),
+]
+
+SOURCE_ONLY = {
+    "check_query": check_query,
+    "mlbdp_full": mlbdp_full,
+    "_limit_sweep": _limit_sweep,
+    "max_bandwidth_tree": max_bandwidth_tree,
+    "run_limit_search": lambda g, s: run_limit_search(g, s, 1),
+}
+PAIR = {
+    "check_query": check_query,
+    "mba_pair": mba_pair,
+    "optimal_pair_bruteforce": optimal_pair_bruteforce,
+    "enumerate_simple_paths": enumerate_simple_paths,
+    "build_ilp": build_ilp,
+}
+COMMANDS = {
+    "solve-mlbdp": ["solve", "--algo", "mlbdp"],
+    "solve-mba": ["solve", "--algo", "mba"],
+    "solve-oracle": ["solve", "--algo", "oracle"],
+    "oracle": ["oracle"],
+    "export-ilp": ["export-ilp", "--out", "model.lp"],
+}
+
+
+@pytest.mark.parametrize("name", SOURCE_ONLY)
+@pytest.mark.parametrize("s, message", SOURCE_ERRORS)
+def test_source_errors(name, s, message):
+    with pytest.raises(ValueError) as info:
+        SOURCE_ONLY[name](five_node_network(), s)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", PAIR)
+@pytest.mark.parametrize("s, t, message", QUERY_ERRORS)
+def test_query_errors(name, s, t, message):
+    with pytest.raises(ValueError) as info:
+        PAIR[name](five_node_network(), s, t)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("s, t, message", QUERY_ERRORS)
+def test_command_errors(command, s, t, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "five.topo").write_text(FIVE_NODE_TEXT)
+    args = [*COMMANDS[command], "--topology", "five.topo", "--source", str(s), "--dest", str(t)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "model.lp").exists()
