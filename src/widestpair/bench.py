@@ -11,9 +11,10 @@ For each maximum-bandwidth value in the sweep, link capacities are
 redrawn with the configured seed and every selected algorithm runs over
 all ordered (source, dest) pairs. Reported per algorithm: pairs found,
 summed wall time, and (when the oracle runs) the total and average
-combined-bandwidth shortfall against the oracle. The report also counts
-the answers left unproven (combined below their upper bound); those are
-lower bounds, not optima.
+combined-bandwidth shortfall against the oracle. A pair the oracle finds
+and a heuristic misses counts at the oracle's full combined bandwidth.
+The report also counts the answers left unproven (combined below their
+upper bound); those are lower bounds, not optima.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exact import optimal_pair_bruteforce
-from .graph import Graph, PathPair, assign_random_bandwidths
+from .graph import _QUOTE_CHARS, Graph, PathPair, _quote, _quote_int, assign_random_bandwidths
 from .mba import mba_pair
 from .mlbdp import mlbdp_full
 
 DEFAULT_SWEEP = (10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
-MISS_POLICIES = ("full", "zero")
 CSV_COLUMNS = ("max_bw", "algo", "pairs_found", "wall_time_ms", "diff_total", "diff_avg")
 PLOT_METRICS = ("pairs_found", "wall_time_ms", "diff_total", "diff_avg")
 
@@ -74,9 +74,7 @@ class RunConfig:
     """One benchmark request.
 
     sweep None means the graph's own bandwidths are used unchanged (one
-    report row labeled "fixed"). miss_policy controls how a pair the
-    oracle finds but a heuristic misses enters diff_total: "full" adds
-    the whole oracle combined bandwidth, "zero" ignores the miss.
+    report row labeled "fixed").
     """
 
     graph: Graph
@@ -84,24 +82,24 @@ class RunConfig:
     sweep: tuple[int, ...] | None = DEFAULT_SWEEP
     seed: int = 1
     algos: tuple[str, ...] = ALGORITHMS
-    miss_policy: str = "full"
 
     def __post_init__(self) -> None:
         for a in self.algos:
             if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+                raise ValueError(f"unknown algorithm {_quote(a)}; choose from {ALGORITHMS}")
         if not self.algos:
             raise ValueError("no algorithms selected")
         if len(set(self.algos)) != len(self.algos):
-            raise ValueError(f"duplicate algorithm in {self.algos}")
+            names = repr(self.algos)
+            if len(names) > _QUOTE_CHARS:
+                names = f"{names[:_QUOTE_CHARS]}... ({len(self.algos)} names)"
+            raise ValueError(f"duplicate algorithm in {names}")
         if self.sweep is not None:
             if not self.sweep:
                 raise ValueError("empty sweep")
             for v in self.sweep:
                 if v < 1:
-                    raise ValueError(f"sweep values must be >= 1, got {v}")
-        if self.miss_policy not in MISS_POLICIES:
-            raise ValueError(f"unknown miss policy {self.miss_policy!r}")
+                    raise ValueError(f"sweep values must be >= 1, got {_quote_int(v)}")
 
 
 @dataclass
@@ -117,7 +115,6 @@ class AlgoRow:
 @dataclass
 class SweepRow:
     max_bw: int | None  # None: bandwidths taken from the input as-is
-    feasible_pairs: int | None  # ordered pairs for which the oracle found a pair
     algos: list[AlgoRow]
 
 
@@ -125,7 +122,6 @@ class SweepRow:
 class BenchmarkReport:
     seed: int
     label: str
-    miss_policy: str
     rows: list[SweepRow] = field(default_factory=list)
 
 
@@ -160,21 +156,15 @@ def _run_row(cfg: RunConfig, g: Graph, max_bw: int | None) -> SweepRow:
                 if key not in oracle or oracle[key] < val:
                     raise RuntimeError(f"{algo} beat the oracle at {key}: {val} > {oracle.get(key)}")
 
-    feasible = len(oracle) if oracle is not None else None
     rows = []
     for algo in cfg.algos:
         diff_total = diff_avg = None
         if oracle is not None and algo != "oracle":
-            diff_total = 0
-            for key, oc in oracle.items():
-                hc = combined[algo].get(key)
-                if hc is None:
-                    diff_total += oc if cfg.miss_policy == "full" else 0
-                else:
-                    diff_total += oc - hc
-            diff_avg = diff_total / feasible if feasible else 0.0
+            found = combined[algo]
+            diff_total = sum(oc - found.get(key, 0) for key, oc in oracle.items())
+            diff_avg = diff_total / len(oracle) if oracle else 0.0
         rows.append(AlgoRow(algo, len(combined[algo]), times[algo], diff_total, diff_avg, unproven[algo]))
-    return SweepRow(max_bw, feasible, rows)
+    return SweepRow(max_bw, rows)
 
 
 def run_benchmark(cfg: RunConfig) -> BenchmarkReport:
@@ -182,7 +172,7 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkReport:
 
     Deterministic apart from the wall-time fields.
     """
-    report = BenchmarkReport(cfg.seed, cfg.label, cfg.miss_policy)
+    report = BenchmarkReport(cfg.seed, cfg.label)
     values: list[int | None] = list(cfg.sweep) if cfg.sweep is not None else [None]
     for max_bw in values:
         g = cfg.graph if max_bw is None else assign_random_bandwidths(cfg.graph, max_bw, cfg.seed)
@@ -192,12 +182,13 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkReport:
 
 def render_report_csv(report: BenchmarkReport) -> str:
     """CSV text: two '#' header lines, column header, one row per
-    (sweep value, algorithm). diff cells are empty without an oracle."""
+    (sweep value, algorithm). diff cells are empty without an oracle.
+    miss_policy=full names the only miss rule, as older reports did."""
     buf = io.StringIO()
-    buf.write(f"# seed={report.seed} topology={report.label} miss_policy={report.miss_policy}\n")
+    buf.write(f"# seed={report.seed} topology={report.label} miss_policy=full\n")
     buf.write(
         "# miss_policy full: a pair the oracle finds but a heuristic misses adds "
-        "the full oracle combined bandwidth to diff_total; zero: misses add nothing\n"
+        "the full oracle combined bandwidth to diff_total\n"
     )
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

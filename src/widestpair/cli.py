@@ -10,7 +10,6 @@ from typing import Sequence
 from .bench import (
     ALGORITHMS,
     DEFAULT_SWEEP,
-    MISS_POLICIES,
     SOLVERS,
     RunConfig,
     render_report_csv,
@@ -22,6 +21,7 @@ from .exact import EnumerationCapError, export_ilp
 from .graph import (
     Graph,
     TopologyError,
+    _quote,
     assign_random_bandwidths,
     check_query,
     generate_random_graph,
@@ -68,7 +68,7 @@ def _parse_sweep(text: str) -> tuple[int, ...] | None:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(f"bad sweep list {text!r}; use comma-separated integers or 'fixed'") from None
+        raise ValueError(f"bad sweep list {_quote(text)}; use comma-separated integers or 'fixed'") from None
 
 
 def _cmd_bench(args) -> int:
@@ -79,7 +79,7 @@ def _cmd_bench(args) -> int:
         try:
             n, m = (int(v) for v in args.gen.split(","))
         except ValueError:
-            raise ValueError(f"bad --gen value {args.gen!r}; use n,m") from None
+            raise ValueError(f"bad --gen value {_quote(args.gen)}; use n,m") from None
         g = generate_random_graph(n, m, args.seed)
         label = f"gen-{n}-{m}"
     cfg = RunConfig(
@@ -88,7 +88,6 @@ def _cmd_bench(args) -> int:
         sweep=_parse_sweep(args.sweep),
         seed=args.seed,
         algos=tuple(args.algos.split(",")),
-        miss_policy=args.miss_policy,
     )
     report = run_benchmark(cfg)
     unproven = sum(a.unproven for row in report.rows for a in row.algos)
@@ -151,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated max bandwidths, or 'fixed' to keep file values")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algos", default=",".join(ALGORITHMS))
-    p.add_argument("--miss-policy", choices=MISS_POLICIES, default="full")
     p.add_argument("--out", help="directory for report.csv (stdout when omitted)")
     p.add_argument("--plot-data", action="store_true", help="also write per-metric series files")
     p.set_defaults(func=_cmd_bench)
@@ -171,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file, or directory for <topology>_<s>_<t>.lp")
     p.set_defaults(func=_cmd_export_ilp)
 
-    p = sub.add_parser("oracle", help="brute-force optimum for one source-dest query")
-    p.add_argument("--topology", required=True)
-    p.add_argument("--source", type=int, required=True)
-    p.add_argument("--dest", type=int, required=True)
-    p.set_defaults(func=_cmd_solve, algo="oracle")
-
     return parser
 
 
@@ -190,7 +182,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TopologyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,6 +7,7 @@ exactly its endpoints is a :class:`PathPair`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +38,7 @@ class Graph:
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
+            raise ValueError(f"node count must be >= 1, got {_quote_int(n)}")
         self.n = n
         self._adj: list[dict[int, int]] = [{} for _ in range(n)]
         self._m = 0
@@ -245,11 +246,20 @@ def _quote(text: str) -> str:
 
 def _quote_int(x: int) -> str:
     """str(x), cut after its first _QUOTE_CHARS characters and then
-    followed by its digit count."""
-    text = str(x)
-    if len(text) <= _QUOTE_CHARS:
-        return text
-    return f"{text[:_QUOTE_CHARS]}... ({len(text.lstrip('-'))} digits)"
+    followed by its digit count.
+
+    Only the quoted head is converted to text, so an integer past
+    Python's int-to-str digit limit is quoted too.
+    """
+    sign = "-" if x < 0 else ""
+    keep = _QUOTE_CHARS - len(sign)
+    a = abs(x)
+    if a < 10**keep:
+        return str(x)
+    digits = int(math.log10(a))  # never above the digit count
+    while a >= 10**digits:
+        digits += 1
+    return f"{sign}{a // 10 ** (digits - keep)}... ({digits} digits)"
 
 
 def serialize_topology(g: Graph) -> str:
@@ -287,7 +297,7 @@ def assign_random_bandwidths(g: Graph, max_bw: int, seed: int) -> Graph:
     always produce identical assignments.
     """
     if max_bw < 1:
-        raise ValueError(f"max_bw must be >= 1, got {max_bw}")
+        raise ValueError(f"max_bw must be >= 1, got {_quote_int(max_bw)}")
     rng = SplitMix64(seed)
     out = Graph(g.n)
     for u, v, _ in g.links():
@@ -304,9 +314,9 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     to get capacities.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
+        raise ValueError(f"need at least 2 nodes, got {_quote_int(n)}")
     if not n - 1 <= m <= n * (n - 1) // 2:
-        raise ValueError(f"infeasible link count {m} for {n} nodes")
+        raise ValueError(f"infeasible link count {_quote_int(m)} for {_quote_int(n)} nodes")
     rng = SplitMix64(seed)
     order = list(range(n))
     for i in range(n - 1, 0, -1):

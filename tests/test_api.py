@@ -1,11 +1,17 @@
+import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import re
 from pathlib import Path
 
+import pytest
+
 import widestpair
 from widestpair import bench
+from widestpair.cli import build_parser, main
+from widestpair.sample import FIVE_NODE_TEXT
 
 # names perfbench reads from the package namespace
 PERFBENCH_NAMES = {
@@ -55,3 +61,38 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines()[:2] == ["(0, 2, 4, 3) (0, 1, 3) 19", "19"]
+
+
+def test_cli_has_one_route_per_question():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"solve", "bench", "gen", "export-ilp"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--topology", "five.topo", "--source", "0", "--dest", "3"],
+        ["bench", "--topology", "five.topo", "--sweep", "fixed", "--miss-policy", "zero"],
+    ],
+    ids=["oracle-command", "miss-policy"],
+)
+def test_removed_routes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "five.topo").write_text(FIVE_NODE_TEXT)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (bench.RunConfig, ("graph", "label", "sweep", "seed", "algos")),
+        (bench.BenchmarkReport, ("seed", "label", "rows")),
+        (bench.SweepRow, ("max_bw", "algos")),
+    ],
+    ids=["RunConfig", "BenchmarkReport", "SweepRow"],
+)
+def test_report_dataclass_fields(cls, names):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names

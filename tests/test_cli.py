@@ -101,8 +101,10 @@ class TestSolve:
 
 
 class TestOracleCommand:
+    SOLVE = ["solve", "--algo", "oracle"]
+
     def test_finds_optimum(self, topo_file, capsys):
-        rc = main(["oracle", "--topology", topo_file, "--source", "0", "--dest", "3"])
+        rc = main([*self.SOLVE, "--topology", topo_file, "--source", "0", "--dest", "3"])
         assert rc == 0
         assert "combined: 19" in capsys.readouterr().out
 
@@ -111,13 +113,13 @@ class TestOracleCommand:
         n = 2400
         path = tmp_path / "ring.topo"
         path.write_text(f"nodes {n}\n" + "".join(f"link {i} {(i + 1) % n} 1\n" for i in range(n)))
-        rc = main(["oracle", "--topology", str(path), "--source", "0", "--dest", "1200"])
+        rc = main([*self.SOLVE, "--topology", str(path), "--source", "0", "--dest", "1200"])
         assert rc == 0
         assert "combined: 2\n" in capsys.readouterr().out
 
     def test_cap_exceeded_exit_code(self, topo_file, capsys, monkeypatch):
         monkeypatch.setattr(exact, "PATH_CAP", 3)
-        rc = main(["oracle", "--topology", topo_file, "--source", "0", "--dest", "3"])
+        rc = main([*self.SOLVE, "--topology", topo_file, "--source", "0", "--dest", "3"])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
@@ -130,14 +132,11 @@ class TestOracleCommand:
             ("topo_file", ["--source", "3", "--dest", "3"], 2),
         ],
     )
-    def test_same_as_solve_with_oracle_algo(self, request, capsys, monkeypatch, topology, query, rc):
+    def test_exit_codes(self, request, monkeypatch, topology, query, rc):
         path = request.getfixturevalue(topology)
         if rc == 3:
             monkeypatch.setattr(exact, "PATH_CAP", 3)
-        assert main(["oracle", "--topology", path, *query]) == rc
-        oracle = capsys.readouterr()
-        assert main(["solve", "--topology", path, *query, "--algo", "oracle"]) == rc
-        assert capsys.readouterr() == oracle
+        assert main([*self.SOLVE, "--topology", path, *query]) == rc
 
 
 class TestGen:
@@ -162,6 +161,21 @@ class TestGen:
     def test_infeasible_request(self, tmp_path, capsys):
         rc = main(["gen", "--nodes", "5", "--links", "99", "--seed", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "args, head",
+        [
+            (["--nodes", "-" + "9" * 3000, "--links", "5"], "error: need at least 2 nodes, got -999"),
+            (["--nodes", "5", "--links", "9" * 3000], "error: infeasible link count 999"),
+            (["--nodes", "5", "--links", "5", "--max-bw", "-" + "9" * 3000], "error: max_bw must be >= 1, got -999"),
+        ],
+        ids=["nodes", "links", "max-bw"],
+    )
+    def test_long_value_quoted_cut(self, tmp_path, capsys, args, head):
+        assert main(["gen", *args, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(head) and "... (3000 digits)" in err
+        assert len(err) < 300
 
 
 class TestExportIlp:
@@ -238,6 +252,37 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert "duplicate algorithm" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args, head",
+        [
+            (["--sweep", "x" * 3000], "error: bad sweep list 'xxx"),
+            (["--sweep", "9" * 5000], "error: bad sweep list '999"),
+            (["--sweep", "-" + "9" * 3000], "error: sweep values must be >= 1, got -999"),
+            (["--algos", "y" * 3000], "error: unknown algorithm 'yyy"),
+            (["--sweep", "fixed", "--algos", ",".join(["mba"] * 1000)], "error: duplicate algorithm in ('mba', "),
+            (["--gen", "1" * 3000], "error: bad --gen value '111"),
+        ],
+        ids=["sweep-text", "sweep-too-long-int", "sweep-value", "unknown-algo", "duplicate-algo", "gen"],
+    )
+    def test_long_values_quoted_cut(self, topo_file, capsys, args, head):
+        source = [] if "--gen" in args else ["--topology", topo_file]
+        assert main(["bench", *source, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(head)
+        assert len(err) < 300
+
+    def test_short_values_quoted_whole(self, topo_file, capsys):
+        for args, message in [
+            (["--sweep", "ten"], "bad sweep list 'ten'; use comma-separated integers or 'fixed'"),
+            (["--sweep", "10,0"], "sweep values must be >= 1, got 0"),
+            (["--algos", "simplex"], "unknown algorithm 'simplex'; choose from ('mlbdp', 'mba', 'oracle')"),
+            (["--sweep", "fixed", "--algos", "mlbdp,mlbdp"], "duplicate algorithm in ('mlbdp', 'mlbdp')"),
+        ]:
+            assert main(["bench", "--topology", topo_file, *args]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["bench", "--gen", "8", "--sweep", "10"]) == 2
+        assert capsys.readouterr().err == "error: bad --gen value '8'; use n,m\n"
 
 
 def test_module_entry_point(topo_file):

@@ -5,6 +5,7 @@ from widestpair.graph import (
     PathPair,
     SplitMix64,
     TopologyError,
+    _quote_int,
     assign_random_bandwidths,
     bottleneck,
     generate_random_graph,
@@ -165,6 +166,30 @@ class TestGraphInvariants:
             for u in range(g.n):
                 for v in g.neighbors(u):
                     assert u in g.neighbors(v)
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "node count must be >= 1, got 0"),
+            (-10**5000, f"node count must be >= 1, got -1{'0' * 78}... (5001 digits)"),
+        ],
+        ids=["zero", "past-str-limit"],
+    )
+    def test_bad_node_count_quoted(self, n, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("digits", [1, 79, 80, 81, 4299, 4300])
+def test_quote_int_matches_str_cut(digits):
+    # below Python's int-to-str limit the quote is str(x) cut to 80
+    # characters, sign included, plus the digit count
+    for x in (10 ** (digits - 1), 10**digits - 1, 10 ** (digits - 1) + 7):
+        for v in (x, -x):
+            text = str(v)
+            expected = text if len(text) <= 80 else f"{text[:80]}... ({digits} digits)"
+            assert _quote_int(v) == expected
 
 
 class TestSplitMix:

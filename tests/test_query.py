@@ -19,6 +19,8 @@ SOURCE_ERRORS = [
     (-1, "source -1 out of range 0..4"),
     # an integer an error names is quoted to its first 80 characters
     (10**4000 - 1, f"source {'9' * 80}... (4000 digits) out of range 0..4"),
+    # past Python's 4,300-digit int-to-str limit too (pytest cannot name it)
+    pytest.param(10**5000, f"source 1{'0' * 79}... (5001 digits) out of range 0..4", id="5001-digits"),
 ]
 QUERY_ERRORS = [
     (5, 0, "source 5 out of range 0..4"),
@@ -45,7 +47,6 @@ COMMANDS = {
     "solve-mlbdp": ["solve", "--algo", "mlbdp"],
     "solve-mba": ["solve", "--algo", "mba"],
     "solve-oracle": ["solve", "--algo", "oracle"],
-    "oracle": ["oracle"],
     "export-ilp": ["export-ilp", "--out", "model.lp"],
 }
 
