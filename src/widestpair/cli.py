@@ -62,6 +62,14 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _int_arg(text: str) -> int:
+    """argparse type for integer options; quotes an over-long value cut."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def _parse_sweep(text: str) -> tuple[int, ...] | None:
     if text == "fixed":
         return None
@@ -137,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find the best pair for one source-dest query")
     p.add_argument("--topology", required=True)
-    p.add_argument("--source", type=int, required=True)
-    p.add_argument("--dest", type=int, required=True)
+    p.add_argument("--source", type=_int_arg, required=True)
+    p.add_argument("--dest", type=_int_arg, required=True)
     p.add_argument("--algo", choices=ALGORITHMS, default="mlbdp")
     p.set_defaults(func=_cmd_solve)
 
@@ -148,24 +156,24 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", metavar="N,M", help="generate a random connected graph")
     p.add_argument("--sweep", default=",".join(str(v) for v in DEFAULT_SWEEP),
                    help="comma-separated max bandwidths, or 'fixed' to keep file values")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_int_arg, default=1)
     p.add_argument("--algos", default=",".join(ALGORITHMS))
     p.add_argument("--out", help="directory for report.csv (stdout when omitted)")
     p.add_argument("--plot-data", action="store_true", help="also write per-metric series files")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen", help="generate a random connected topology file")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--links", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-bw", type=int, help="draw bandwidths in 1..B (default: unit)")
+    p.add_argument("--nodes", type=_int_arg, required=True)
+    p.add_argument("--links", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, default=1)
+    p.add_argument("--max-bw", type=_int_arg, help="draw bandwidths in 1..B (default: unit)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("export-ilp", help="write the exact model in LP format")
     p.add_argument("--topology", required=True)
-    p.add_argument("--source", type=int, required=True)
-    p.add_argument("--dest", type=int, required=True)
+    p.add_argument("--source", type=_int_arg, required=True)
+    p.add_argument("--dest", type=_int_arg, required=True)
     p.add_argument("--out", required=True, help="output file, or directory for <topology>_<s>_<t>.lp")
     p.set_defaults(func=_cmd_export_ilp)
 

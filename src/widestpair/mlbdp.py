@@ -19,11 +19,13 @@ mlbdp_full certifies every answer. Per destination d, the wider path of
 a pair carries at most W_d, the widest-path bandwidth, and the narrower
 at most M_d, the largest bandwidth t at which s and d still share a
 biconnected block among the links >= t; so W_d + M_d bounds every pair,
-and M_d > 0 exactly when a pair exists. The sweep supplies the first
-answers; an exact depth-first search over the wider path closes the gap
-wherever the sweep's answer is below the bound, within a budget of
-search steps. Each answer is a DisjointResult: the pair and its proven
-upper bound; it is optimal when its combined bandwidth equals that bound.
+and M_d > 0 exactly when a pair exists. One limit run at the lowest
+limit supplies the first answers; an exact depth-first search over the
+wider path closes the gap wherever that answer is below the bound,
+within a budget of search steps. Only the destinations that search
+leaves open get the rest of the sweep, and then a second search. Each
+answer is a DisjointResult: the pair and its proven upper bound; it is
+optimal when its combined bandwidth equals that bound.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 from .graph import Graph, PathPair, bottleneck, check_query
 from .widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
-# steps of the exact search per destination; one step is one candidate
-# node for the wider path that the cheap filters let through
+# steps of one exact search (at most two per destination); one step is one
+# candidate node for the wider path that the cheap filters let through
 FALLBACK_BUDGET = 2000
 
 
@@ -337,7 +339,7 @@ def _limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
     best: dict[int, PathPair] = {}
     for links in _source_blocks(g.adjacency(), s):
         block = _block_graph(g.n, links)
-        _sweep_block(block, s, sorted({v for _, v, _ in links} - {s}), best)
+        _sweep_block(block, s, unique_bandwidths(block), sorted({v for _, v, _ in links} - {s}), best)
     return {d: DisjointResult(best[d]) for d in sorted(best)}
 
 
@@ -351,18 +353,19 @@ def _block_graph(n: int, links: list[tuple[int, int, int]]) -> Graph:
 def _sweep_block(
     block: Graph,
     s: int,
+    limits: list[int],
     dests: list[int],
     best: dict[int, PathPair],
     bounds: dict[int, tuple[int, int]] | None = None,
 ) -> None:
-    """Limit runs over the block's bandwidths, ascending, into best.
+    """Limit runs over limits, ascending, into best.
 
     With bounds (d -> (W_d + M_d, M_d)) the sweep stops at the first
     limit above M_d of every destination whose best is still below its
     bound: the narrower path of any pair to d carries at most M_d, so a
     higher limit cannot be the optimum's partner limit.
     """
-    for limit in unique_bandwidths(block):
+    for limit in limits:
         if bounds is not None and all(
             limit > m or (d in best and best[d].combined == ub) for d, (ub, m) in bounds.items()
         ):
@@ -390,19 +393,23 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
 
     A destination is present exactly when a pair to it exists, and every
     answer carries a proven upper_bound on the combined bandwidth of all
-    pairs to it. Per source block (see _limit_sweep) and destination d:
+    pairs to it. Per source block (see _limit_sweep) and destination d,
+    the bound is W_d + M_d, from the widest-path tree of s and from
+    _max_min_bounds. Then, in this order:
 
-    - the bound is W_d + M_d, from the widest-path tree of s and from
-      _max_min_bounds;
-    - the paper's limit sweep runs first, a lower bound; it leaves out
-      the limits that can no longer raise an open destination (one whose
-      best is below its bound);
-    - when the sweep reached nothing or less than 2 M_d, the max-min pair
-      (two disjoint paths on the links >= M_d) is the incumbent;
-    - an exact depth-first search then looks for a better pair wherever
-      the incumbent is below the bound. It stops after FALLBACK_BUDGET
-      steps for one destination; the answer then keeps the incumbent and
-      reports the bound W_d + M_d, never a guess.
+    - one limit run at the block's lowest bandwidth gives the first
+      answers;
+    - wherever that answer is below the bound, an exact depth-first
+      search looks for a better pair within FALLBACK_BUDGET steps. It
+      starts from that answer, or from the max-min pair (two disjoint
+      paths on the links >= M_d) when the run reached nothing or less
+      than 2 M_d. A search that finishes proves its pair optimal;
+    - only the destinations still unproven get the paper's limit sweep
+      over the remaining limits, up to the largest M_d among them;
+    - a destination whose incumbent now beats the value its first search
+      started from gets a second search from that incumbent; from the
+      same start it would only repeat the first. An answer left unproven
+      keeps the incumbent and reports the bound W_d + M_d, never a guess.
 
     Results depend only on the graph and s, never on timing.
     """
@@ -413,21 +420,35 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
         width = max_bandwidth_tree(block, s).maxbw
         bounds = {d: (width[d] + m, m) for d, m in _max_min_bounds(g.n, links, s).items()}
         dests = sorted(bounds)
+        limits = unique_bandwidths(block)
         best: dict[int, PathPair] = {}
-        _sweep_block(block, s, dests, best, bounds)
+        _keep_improved(run_limit_search(block, s, limits[0]), dests, best)
         search = None
+        started: dict[int, int] = {}
         for d in dests:
             ub, m = bounds[d]
             pair = best.get(d)
-            if pair is None or pair.combined < ub:
-                search = search or _BlockSearch(block, s)
-                start = pair
-                if start is None or start.combined < 2 * m:
-                    start = search.max_min_pair(d, m)
-                found, ub = search.improve(d, start, ub, m, FALLBACK_BUDGET)
-                if pair is None or found.combined > pair.combined:
-                    pair = found
-            out[d] = DisjointResult(pair, ub)
+            if pair is not None and pair.combined == ub:
+                out[d] = DisjointResult(pair, ub)
+                continue
+            search = search or _BlockSearch(block, s)
+            if pair is None or pair.combined < 2 * m:
+                pair = search.max_min_pair(d, m)
+            best[d], ub = search.improve(d, pair, ub, m, FALLBACK_BUDGET)
+            if best[d].combined == ub:
+                out[d] = DisjointResult(best[d], ub)
+            else:
+                started[d] = pair.combined
+        _sweep_block(block, s, limits[1:], list(started), best, {d: bounds[d] for d in started})
+        for d, start in started.items():
+            ub, m = bounds[d]
+            # a first search that raised the incumbent and then ran out of
+            # budget can prove it from a fresh start, so this compares with
+            # where that search started, not where it ended
+            if best[d].combined > start:
+                out[d] = DisjointResult(*search.improve(d, best[d], ub, m, FALLBACK_BUDGET))
+            else:
+                out[d] = DisjointResult(best[d], ub)
     return dict(sorted(out.items()))
 
 

@@ -285,6 +285,52 @@ class TestBenchCommand:
         assert capsys.readouterr().err == "error: bad --gen value '8'; use n,m\n"
 
 
+INT_OPTIONS = [
+    ("solve", "--source"),
+    ("solve", "--dest"),
+    ("gen", "--nodes"),
+    ("gen", "--links"),
+    ("gen", "--seed"),
+    ("gen", "--max-bw"),
+    ("export-ilp", "--source"),
+    ("export-ilp", "--dest"),
+    ("bench", "--seed"),
+]
+
+
+def _int_option_argv(command, option, value, topo_file, tmp_path):
+    """argv for command with option set to value and every other option valid."""
+    given = {
+        "solve": {"--topology": topo_file, "--source": "0", "--dest": "1"},
+        "gen": {"--nodes": "5", "--links": "5", "--out": str(tmp_path / "x.topo")},
+        "export-ilp": {"--topology": topo_file, "--source": "0", "--dest": "1", "--out": str(tmp_path)},
+        "bench": {"--topology": topo_file},
+    }[command]
+    given[option] = value
+    return [command, *(part for item in given.items() for part in item)]
+
+
+class TestIntOptions:
+    @pytest.mark.parametrize("command, option", INT_OPTIONS)
+    def test_long_value_quoted_cut(self, command, option, topo_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(_int_option_argv(command, option, "9" * 5000, topo_file, tmp_path))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        message = f"error: argument {option}: invalid int value: '{'9' * 80}'... (5000 characters)\n"
+        assert err.endswith(message)
+        # bench's usage lines alone are longer than the rest of the commands' errors
+        assert len(err) < (400 if command == "bench" else 300)
+
+    @pytest.mark.parametrize("command, option", INT_OPTIONS)
+    def test_short_value_quoted_whole(self, command, option, topo_file, tmp_path, capsys):
+        for value in ["x", "1.5", "", "a'b", "x" * 80]:
+            with pytest.raises(SystemExit) as info:
+                main(_int_option_argv(command, option, value, topo_file, tmp_path))
+            assert info.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
 def test_module_entry_point(topo_file):
     # run this checkout's package, not whichever copy the interpreter would find
     pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))

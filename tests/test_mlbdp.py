@@ -2,7 +2,13 @@ import pytest
 
 from widestpair import mlbdp
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import PathPair, SplitMix64, validate_pair
+from widestpair.graph import (
+    PathPair,
+    SplitMix64,
+    assign_random_bandwidths,
+    generate_random_graph,
+    validate_pair,
+)
 from widestpair.mlbdp import (
     FALLBACK_BUDGET,
     VNodeTable,
@@ -272,6 +278,41 @@ class TestCertified:
                 full = mlbdp_full(g, s)
                 for d, res in _limit_sweep(g, s).items():
                     assert full[d].combined >= res.combined
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_never_below_sweep_on_any_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", budget)
+        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=565)]:
+            for s in range(g.n):
+                full = mlbdp_full(g, s)
+                for d, res in _limit_sweep(g, s).items():
+                    assert full[d].combined >= res.combined
+
+    def test_second_search_after_first_search_raised_incumbent(self):
+        # the first search raises these to their optimum and runs out of
+        # budget; the sweep raises nothing, and only a second search from
+        # the raised incumbent proves them
+        g = assign_random_bandwidths(generate_random_graph(50, 100, 4243), 5000, 4243)
+        full = mlbdp_full(g, 42)
+        for d in (2, 12, 23, 27):
+            assert (full[d].combined, full[d].upper_bound) == (3106, 3106)
+        assert (full[38].combined, full[38].upper_bound) == (2994, 3124)
+
+    def test_sweep_only_for_open_destinations(self, monkeypatch):
+        runs = []
+
+        def counted(*args):
+            runs.append(args[1])
+            return run_limit_search(*args)
+
+        monkeypatch.setattr(mlbdp, "run_limit_search", counted)
+        g = assign_random_bandwidths(generate_random_graph(50, 100, 4243), 5000, 4243)
+        for s in range(g.n):
+            mlbdp_full(g, s)
+        # the sweep before the search made 1,755 runs here
+        assert len(runs) <= 200
+        # source 42 leaves destinations open after the search, and sweeps
+        assert runs.count(42) == 29
 
     def test_matches_oracle(self):
         # the acceptance suite's differential check uses seed 999
