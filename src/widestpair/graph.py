@@ -121,12 +121,17 @@ class PathPair:
 
 def check_query(g: Graph, s: int, t: int | None = None) -> None:
     """Raise ValueError unless s, and t when given, are distinct node ids of g."""
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {_quote_int(s)} out of range 0..{g.n - 1}")
+    check_endpoints(g.n, s, t)
+
+
+def check_endpoints(n: int, s: int, t: int | None = None) -> None:
+    """check_query over a node count, for results that outlive their graph."""
+    if not 0 <= s < n:
+        raise ValueError(f"source {_quote_int(s)} out of range 0..{n - 1}")
     if t is None:
         return
-    if not 0 <= t < g.n:
-        raise ValueError(f"destination {_quote_int(t)} out of range 0..{g.n - 1}")
+    if not 0 <= t < n:
+        raise ValueError(f"destination {_quote_int(t)} out of range 0..{n - 1}")
     if s == t:
         raise ValueError("source and destination must differ")
 

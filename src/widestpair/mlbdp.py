@@ -34,7 +34,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 
-from .graph import Graph, PathPair, bottleneck, check_query
+from .graph import Graph, PathPair, bottleneck, check_endpoints, check_query
 from .widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of one exact search (at most two per destination); one step is one
@@ -169,7 +169,6 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     wide = [[e for e in a if e[3] >= limit] for a in nbrs]
     push = heapq.heappush
     pop = heapq.heappop
-    remaining = n - 1
     while heap:
         key = pop(heap)
         idx = key & imask
@@ -181,9 +180,6 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
         x, y = divmod(idx, n)
         if x == y:
             # destination reached; never relaxed from
-            remaining -= 1
-            if remaining == 0:
-                break
             continue
         rxy = r[idx]
         bxy = b[idx]
@@ -220,16 +216,17 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     return table
 
 
-def reconstruct_pair(table: VNodeTable, s: int, d: int) -> PathPair:
+def reconstruct_pair(table: VNodeTable, d: int) -> PathPair:
     """Rebuild the two paths from the predecessor chain of vnode (d, d).
 
-    Walking from (d, d) back to (s, s), each hop changes one coordinate
-    (the first hop out of (s, s) changes both); collecting the distinct
-    consecutive values per coordinate gives the two node sequences.
+    Walking back to (s, s), s the table's source, each hop changes one
+    coordinate (the first hop out of (s, s) changes both); collecting the
+    distinct consecutive values per coordinate gives the two node sequences.
     """
-    n = table.n
+    n, s = table.n, table.source
+    check_endpoints(n, s, d)
     idx = d * n + d
-    if not table.permanent[idx] or table.prev[idx] < 0:
+    if not table.permanent[idx]:
         raise ValueError(f"destination {d} was not reached by a disjoint pair")
     chain = []
     cur = idx
@@ -377,7 +374,7 @@ def _sweep_block(
 def _keep_improved(table: VNodeTable, dests: list[int], best: dict[int, PathPair]) -> None:
     """Record each reached destination whose (combined, min bottleneck)
     beats its best so far, rebuilding only those pairs."""
-    n, s = table.n, table.source
+    n = table.n
     r, b, perm = table.r, table.b, table.permanent
     for d in dests:
         idx = d * n + d
@@ -385,7 +382,7 @@ def _keep_improved(table: VNodeTable, dests: list[int], best: dict[int, PathPair
             rd, bd = r[idx], b[idx]
             cur = best.get(d)
             if cur is None or (rd + bd, min(rd, bd)) > (cur.combined, min(cur.red_bw, cur.blue_bw)):
-                best[d] = reconstruct_pair(table, s, d)
+                best[d] = reconstruct_pair(table, d)
 
 
 def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
@@ -460,13 +457,17 @@ class _BlockSearch:
     depth-first search grows P1 from s over the links that wide only,
     widest links first. A prefix of bottleneck a is dropped when the
     partner, the widest s-d path avoiding the prefix, cannot carry
-    inc - a + 1 (then a + min(a, partner) <= inc), or when the prefix
-    cannot reach d over the links P1 may use; both tests are repeated
-    with the nodes that every route of the other path is forced through
-    taken out. At d, the pair is P1 with that partner, from one
-    widest_tree search that closes the prefix and stops at d. Reachability
-    tests walk node bitmasks, one neighbor mask per node and threshold,
-    built once per threshold and block.
+    inc - a + 1 (then a + min(a, partner) <= inc), when the prefix cannot
+    reach d over the links P1 may use, or when the partner cannot avoid
+    the nodes every completion of P1 is forced through. The converse test
+    (P1 avoiding the partner's forced nodes) is implied: the partner's
+    threshold is at most P1's, so completions of P1 run in the partner's
+    graph, whose forced nodes are cut vertices that d reaches only through
+    the last; a completion avoiding it avoids them all, and if none does,
+    P1 is forced through it too. At d, the pair is P1 with that partner,
+    from one widest_tree search that closes the prefix and stops at d.
+    Reachability tests walk node bitmasks, one neighbor mask per node and
+    threshold, built once per threshold and block.
     """
 
     def __init__(self, block: Graph, s: int):
@@ -503,9 +504,9 @@ class _BlockSearch:
             seen |= frontier
         return False
 
-    def forced(self, t: int, start: int, goal: int, allowed: int) -> int:
-        """Mask of the nodes that every start-goal path over links >= t
-        through allowed nodes passes, endpoints excluded.
+    def forced(self, t: int, start: int, goal: int, allowed: int) -> int | None:
+        """Mask of the nodes, endpoints excluded, on every start-goal path
+        over links >= t through allowed nodes; None when there is no path.
 
         Such a node lies on every path, so it is found by taking one
         shortest path (breadth-first layers, walked back from goal) and
@@ -525,7 +526,7 @@ class _BlockSearch:
             frontier = nxt & (allowed | goal_bit) & ~seen
             seen |= frontier
         if not frontier:
-            return 0
+            return None
         out = 0
         cur = goal
         for layer in reversed(layers[1:]):
@@ -631,15 +632,11 @@ class _BlockSearch:
                     if need > a2:
                         continue
                     on2 = on | 1 << v
-                    if not self.reaches(need, s, d, ~on2) or not self.reaches(thr, v, d, ~on2):
+                    if not self.reaches(need, s, d, ~on2):
                         continue
-                    # a node every completion of P1 passes is closed to the
-                    # partner, and a node every partner passes is closed to P1
+                    # None: P1 cannot reach d; its forced nodes are closed to the partner
                     forced = self.forced(thr, v, d, ~on2)
-                    if forced and not self.reaches(need, s, d, ~(on2 | forced)):
-                        continue
-                    forced = self.forced(need, s, d, ~on2)
-                    if forced and not self.reaches(thr, v, d, ~(on2 | forced)):
+                    if forced is None or forced and not self.reaches(need, s, d, ~(on2 | forced)):
                         continue
                     path.append(v)
                     on = on2

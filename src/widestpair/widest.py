@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, check_query
+from .graph import Graph, check_endpoints, check_query
 
 Adjacency = list[list[tuple[int, int]]]
 
@@ -107,13 +107,10 @@ def without_link(adj: Adjacency, u: int, v: int) -> Adjacency:
 def extract_widest_path(tree: WidestTree, dest: int) -> tuple[int, ...] | None:
     """Predecessor walk from dest back to the source.
 
-    Returns None when dest is unreachable. Raises ValueError when dest is
-    the source itself (there is no path to extract).
+    Returns None when dest is unreachable. Raises ValueError, as
+    check_query does, when dest is not a node or is the source itself.
     """
-    if not 0 <= dest < len(tree.maxbw):
-        raise ValueError(f"destination {dest} out of range")
-    if dest == tree.source:
-        raise ValueError("destination equals source")
+    check_endpoints(len(tree.maxbw), tree.source, dest)
     if tree.maxbw[dest] == 0:
         return None
     path = [dest]

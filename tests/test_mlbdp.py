@@ -359,9 +359,48 @@ class TestCertified:
                 for goal in range(1, g.n):
                     paths = ref_simple_paths(h, 0, goal)
                     if not paths:
+                        assert search.forced(t, 0, goal, -1) is None
                         continue
                     common = set.intersection(*(set(p[1:-1]) for p in paths))
                     assert search.forced(t, 0, goal, -1) == sum(1 << v for v in common)
+
+    def test_partner_forced_test_implied(self):
+        # improve tests only P1's forced nodes against the partner (see
+        # _BlockSearch): on random prefixes s..v and thresholds need <= thr,
+        # whenever that test and both reachability tests pass, P1 can also
+        # avoid the partner's forced nodes
+        rng = SplitMix64(570)
+        premises = with_forced = 0
+        for g in suite_graphs(60, seed=570):
+            search = _BlockSearch(g, 0)
+            adj, bws = g.adjacency(), unique_bandwidths(g)
+            for _ in range(100):
+                path = [0]
+                for _ in range(rng.below(g.n)):
+                    nxt = [u for u, _ in adj[path[-1]] if u not in path]
+                    if not nxt:
+                        break
+                    path.append(nxt[rng.below(len(nxt))])
+                if len(path) < 2:
+                    continue
+                v = path[-1]
+                rest = [d for d in range(g.n) if d not in path]
+                if not rest:
+                    continue
+                d = rest[rng.below(len(rest))]
+                need, thr = sorted(bws[rng.below(len(bws))] for _ in range(2))
+                on2 = sum(1 << u for u in path)
+                if not search.reaches(need, 0, d, ~on2):
+                    continue
+                forced = search.forced(thr, v, d, ~on2)
+                if forced is None or forced and not search.reaches(need, 0, d, ~(on2 | forced)):
+                    continue
+                premises += 1
+                partner = search.forced(need, 0, d, ~on2)
+                assert partner is not None
+                with_forced += partner != 0
+                assert not partner or search.reaches(thr, v, d, ~(on2 | partner))
+        assert premises >= 500 and with_forced >= 100
 
     def test_direct_link_partner_avoids_it(self):
         # the best pair's wider path is the direct link 0-1, so its partner
@@ -419,12 +458,12 @@ class TestReconstruct:
     def test_unreached_destination_rejected(self, path4):
         table = run_limit_search(path4, 0, 1)
         with pytest.raises(ValueError):
-            reconstruct_pair(table, 0, 3)
+            reconstruct_pair(table, 3)
 
     def test_source_rejected(self, five_node):
         table = run_limit_search(five_node, 0, 1)
         with pytest.raises(ValueError):
-            reconstruct_pair(table, 0, 0)
+            reconstruct_pair(table, 0)
 
     def test_two_hop_meeting_shape(self):
         from .conftest import make_graph
@@ -436,7 +475,7 @@ class TestReconstruct:
 
     def test_trap_reconstruction(self, trap):
         table = run_limit_search(trap, 0, 1)
-        pair = reconstruct_pair(table, 0, 3)
+        pair = reconstruct_pair(table, 3)
         assert pair.red == (0, 1, 3) and pair.blue == (0, 2, 3)
 
 

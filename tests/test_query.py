@@ -1,7 +1,8 @@
 """One endpoint contract for every query: graph.check_query.
 
-Every solver, the path enumeration, the ILP builder and the CLI commands
-reject a bad (source, destination) query with the same three messages.
+Every solver, the path enumeration, the ILP builder, the CLI commands and
+the two functions that read a path off a search result reject a bad
+(source, destination) query with the same three messages.
 """
 
 import pytest
@@ -10,9 +11,9 @@ from widestpair.cli import main
 from widestpair.exact import build_ilp, enumerate_simple_paths, optimal_pair_bruteforce
 from widestpair.graph import check_query
 from widestpair.mba import mba_pair
-from widestpair.mlbdp import _limit_sweep, mlbdp_full, run_limit_search
+from widestpair.mlbdp import _limit_sweep, mlbdp_full, reconstruct_pair, run_limit_search
 from widestpair.sample import FIVE_NODE_TEXT, five_node_network
-from widestpair.widest import max_bandwidth_tree
+from widestpair.widest import extract_widest_path, max_bandwidth_tree
 
 SOURCE_ERRORS = [
     (5, "source 5 out of range 0..4"),
@@ -28,6 +29,15 @@ QUERY_ERRORS = [
     (0, -1, "destination -1 out of range 0..4"),
     (2, 2, "source and destination must differ"),
 ]
+# for a result of source 0; each must be refused before it indexes a table
+DEST_ERRORS = [
+    (5, "destination 5 out of range 0..4"),
+    (-2, "destination -2 out of range 0..4"),
+    (10**6, "destination 1000000 out of range 0..4"),
+    pytest.param(10**100, f"destination 1{'0' * 79}... (101 digits) out of range 0..4", id="101-digits"),
+    pytest.param(10**5000, f"destination 1{'0' * 79}... (5001 digits) out of range 0..4", id="5001-digits"),
+    (0, "source and destination must differ"),
+]
 
 SOURCE_ONLY = {
     "check_query": check_query,
@@ -42,6 +52,10 @@ PAIR = {
     "optimal_pair_bruteforce": optimal_pair_bruteforce,
     "enumerate_simple_paths": enumerate_simple_paths,
     "build_ilp": build_ilp,
+}
+FROM_RESULT = {
+    "reconstruct_pair": lambda g, t: reconstruct_pair(run_limit_search(g, 0, 1), t),
+    "extract_widest_path": lambda g, t: extract_widest_path(max_bandwidth_tree(g, 0), t),
 }
 COMMANDS = {
     "solve-mlbdp": ["solve", "--algo", "mlbdp"],
@@ -64,6 +78,14 @@ def test_source_errors(name, s, message):
 def test_query_errors(name, s, t, message):
     with pytest.raises(ValueError) as info:
         PAIR[name](five_node_network(), s, t)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", FROM_RESULT)
+@pytest.mark.parametrize("t, message", DEST_ERRORS)
+def test_result_dest_errors(name, t, message):
+    with pytest.raises(ValueError) as info:
+        FROM_RESULT[name](five_node_network(), t)
     assert str(info.value) == message
 
 
