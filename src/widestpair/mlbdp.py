@@ -18,14 +18,15 @@ not always the maximum.
 mlbdp_full certifies every answer. Per destination d, the wider path of
 a pair carries at most W_d, the widest-path bandwidth, and the narrower
 at most M_d, the largest bandwidth t at which s and d still share a
-biconnected block among the links >= t; so W_d + M_d bounds every pair,
-and M_d > 0 exactly when a pair exists. One limit run at the lowest
-limit supplies the first answers; an exact depth-first search over the
-wider path closes the gap wherever that answer is below the bound,
-within a budget of search steps. Only the destinations that search
-leaves open get the rest of the sweep, and then a second search. Each
-answer is a DisjointResult: the pair and its proven upper bound; it is
-optimal when its combined bandwidth equals that bound.
+biconnected block among the links >= t (one union-find pass over the
+fundamental cycles of the widest tree gives every M_d); so W_d + M_d
+bounds every pair, and M_d > 0 exactly when a pair exists. One limit
+run at the lowest limit supplies the first answers; an exact depth-first
+search over the wider path closes the gap wherever that answer is below
+the bound, within a budget of search steps. Only the destinations that
+search leaves open get the rest of the sweep, and then a second search.
+Each answer is a DisjointResult: the pair and its proven upper bound; it
+is optimal when its combined bandwidth equals that bound.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 
 from .graph import Graph, PathPair, bottleneck, check_endpoints, check_query
-from .widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
+from .widest import WidestTree, extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of one exact search (at most two per destination); one step is one
 # candidate node for the wider path that the cheap filters let through
@@ -288,29 +289,58 @@ def _source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[
     return blocks
 
 
-def _max_min_bounds(n: int, links: list[tuple[int, int, int]], s: int) -> dict[int, int]:
-    """M_d for every node d != s of one source block: the largest t at
-    which s and d share a biconnected block of 3 or more nodes among the
-    links >= t, so that two internally node-disjoint s-d paths on those
-    links exist (Menger).
+def _max_min_bounds(tree: WidestTree, links: list[tuple[int, int, int]]) -> dict[int, int]:
+    """M_d for every node d != s of a connected graph, from its links and
+    its widest tree from s: the largest t at which s and d share a
+    biconnected block of 3 or more nodes among the links >= t, so that two
+    internally node-disjoint s-d paths on those links exist (Menger).
 
-    The source blocks at a higher threshold lie inside those at a lower
-    one, so each round keeps the links of the previous round's source
-    blocks, credits their nodes with the round's threshold (the smallest
-    bandwidth left), drops the links that carry only that bandwidth and
-    finds the source blocks again.
+    One offline pass. The tree path from s to x carries at least W_x, so
+    the tree spans s's component of the links >= t, and a non-tree link
+    (u, v, bw) closes its fundamental cycle there for every t up to its
+    key min(bw, W_u, W_v), W_s infinite. Two links share a block exactly
+    when overlapping fundamental cycles connect them, so once the tree
+    links on the cycle of every key >= t are merged (union-find, keys
+    descending), the classes are the blocks of the links >= t. A class is
+    a subtree named by its head, the lower node of its top link: a walk
+    moves the deeper end x to parent[find(x)] until both ends meet at the
+    merged class's top node. A node's M_d is the key at which its class
+    first tops at s.
     """
+    s, parent = tree.source, tree.previous
+    w: list[float] = [*tree.maxbw]
+    w[s] = float("inf")
+    depth = [0] * len(w)
+    for v in tree.settled[1:]:
+        depth[v] = depth[parent[v]] + 1
+    up = list(range(len(w)))
+    pending: dict[int, list[int]] = {}  # per merged class, its nodes still without M_d
+
+    def find(x: int) -> int:
+        while up[x] != x:
+            up[x] = x = up[up[x]]
+        return x
+
     bound: dict[int, int] = {}
-    while links:
-        t = min(bw for _, _, bw in links)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, bw in links:
-            bound[u] = bound[v] = t
-            if bw > t:
-                adj[u].append((v, bw))
-                adj[v].append((u, bw))
-        links = [link for block in _source_blocks(adj, s) for link in block]
-    del bound[s]
+    cycles = ((min(bw, w[u], w[v]), u, v) for u, v, bw in links if parent[u] != v and parent[v] != u)
+    for key, a, b in sorted(cycles, reverse=True):
+        heads = []
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            heads.append(find(a))
+            a = parent[heads[-1]]
+        # a class never merged holds its head alone; the largest list absorbs the rest
+        parts = sorted((pending.pop(h, [h]) for h in set(heads)), key=len)
+        nodes = parts.pop()
+        for part in parts:
+            nodes += part
+        for h in heads:
+            up[h] = heads[-1]
+        if a == s:
+            bound.update(dict.fromkeys(nodes, key))
+            nodes = []
+        pending[heads[-1]] = nodes
     return bound
 
 
@@ -391,8 +421,8 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
     A destination is present exactly when a pair to it exists, and every
     answer carries a proven upper_bound on the combined bandwidth of all
     pairs to it. Per source block (see _limit_sweep) and destination d,
-    the bound is W_d + M_d, from the widest-path tree of s and from
-    _max_min_bounds. Then, in this order:
+    the bound is W_d + M_d, both from the block's widest-path tree of s
+    (M_d in one pass over it, _max_min_bounds). Then, in this order:
 
     - one limit run at the block's lowest bandwidth gives the first
       answers;
@@ -414,8 +444,8 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
     out: dict[int, DisjointResult] = {}
     for links in _source_blocks(g.adjacency(), s):
         block = _block_graph(g.n, links)
-        width = max_bandwidth_tree(block, s).maxbw
-        bounds = {d: (width[d] + m, m) for d, m in _max_min_bounds(g.n, links, s).items()}
+        tree = max_bandwidth_tree(block, s)
+        bounds = {d: (tree.maxbw[d] + m, m) for d, m in _max_min_bounds(tree, links).items()}
         dests = sorted(bounds)
         limits = unique_bandwidths(block)
         best: dict[int, PathPair] = {}

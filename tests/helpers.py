@@ -8,7 +8,7 @@ product path.
 from __future__ import annotations
 
 from widestpair.graph import Graph, PathPair
-from widestpair.mlbdp import DisjointResult, _keep_improved, run_limit_search
+from widestpair.mlbdp import DisjointResult, _keep_improved, _source_blocks, run_limit_search
 
 
 def connected(g: Graph) -> bool:
@@ -35,6 +35,31 @@ def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
     best: dict[int, PathPair] = {}
     _keep_improved(run_limit_search(g, s, limit), [d for d in range(g.n) if d != s], best)
     return {d: DisjointResult(pair) for d, pair in best.items()}
+
+
+def max_min_bounds_reference(n: int, links: list[tuple[int, int, int]], s: int) -> dict[int, int]:
+    """M_d by thresholds, the reference for mlbdp._max_min_bounds: the
+    largest t at which s and d share a biconnected block of 3 or more
+    nodes among the links >= t.
+
+    The source blocks at a higher threshold lie inside those at a lower
+    one, so each round keeps the links of the previous round's source
+    blocks, credits their nodes with the round's threshold (the smallest
+    bandwidth left), drops the links that carry only that bandwidth and
+    finds the source blocks again.
+    """
+    bound: dict[int, int] = {}
+    while links:
+        t = min(bw for _, _, bw in links)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for u, v, bw in links:
+            bound[u] = bound[v] = t
+            if bw > t:
+                adj[u].append((v, bw))
+                adj[v].append((u, bw))
+        links = [link for block in _source_blocks(adj, s) for link in block]
+    del bound[s]
+    return bound
 
 
 def virtual_link_count(g: Graph) -> int:

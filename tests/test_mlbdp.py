@@ -23,9 +23,10 @@ from widestpair.mlbdp import (
     run_limit_search,
     unique_bandwidths,
 )
+from widestpair.widest import max_bandwidth_tree
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
-from .helpers import mlbdp_single, virtual_link_count
+from .helpers import max_min_bounds_reference, mlbdp_single, virtual_link_count
 
 
 class TestUniqueBandwidths:
@@ -187,6 +188,10 @@ SKIPPED_LIMITS = [
     (0, 3, 27), (0, 6, 19), (1, 2, 3), (1, 4, 19), (1, 5, 14), (1, 6, 16),
     (2, 3, 16), (2, 4, 27), (2, 6, 2), (3, 4, 25), (3, 6, 15),
 ]
+# whole-graph _max_min_bounds regressions (see test_max_min_bounds_hand_cases)
+MM_BOWTIE = [(0, 1, 3), (0, 2, 4), (1, 2, 5), (2, 3, 6), (2, 4, 7), (3, 4, 8)]
+MM_WIDE_CHORD = [(0, 1, 3), (0, 2, 3), (1, 2, 9), (1, 3, 9), (2, 3, 9)]
+MM_PAST_ANCESTOR = [(0, 1, 10), (1, 2, 10), (1, 3, 10), (0, 2, 8), (2, 3, 5)]
 HAND_GRAPHS = [
     make_graph(5, BOWTIE),
     make_graph(7, PENDANT_TREE),
@@ -341,7 +346,7 @@ class TestCertified:
         for g in [*HAND_GRAPHS, *suite_graphs(40, seed=567, n_hi=7)]:
             for s in range(g.n):
                 for links in _source_blocks(g.adjacency(), s):
-                    bounds = _max_min_bounds(g.n, links, s)
+                    bounds = _max_min_bounds(max_bandwidth_tree(_block_graph(g.n, links), s), links)
                     search = _BlockSearch(_block_graph(g.n, links), s)
                     for d, m in bounds.items():
                         assert m == max(min(pair) for pair in _pairs_by_enum(g, s, d))
@@ -349,6 +354,47 @@ class TestCertified:
                         validate_pair(g, pair)
                         assert pair.red[0] == s and pair.red[-1] == d
                         assert pair.red_bw >= pair.blue_bw >= m
+
+    def test_max_min_bounds_match_thresholds(self):
+        # the one-pass M_d against the block search repeated per threshold,
+        # on graphs too large to enumerate; bandwidths 1..10 force ties
+        big = [
+            assign_random_bandwidths(generate_random_graph(50, m, seed=k), max_bw, seed=k)
+            for k in range(5)
+            for m, max_bw in [(100, 5000), (200, 10)]
+        ]
+        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=571), *big]:
+            for s in range(g.n):
+                for links in _source_blocks(g.adjacency(), s):
+                    tree = max_bandwidth_tree(_block_graph(g.n, links), s)
+                    assert _max_min_bounds(tree, links) == max_min_bounds_reference(g.n, links, s)
+
+    @pytest.mark.parametrize(
+        "n, links, want",
+        [
+            # two triangles sharing node 2, s = 0 in one of them: the graph
+            # is 2-edge-connected but 3 and 4 share no block with s
+            (5, MM_BOWTIE, {1: 3, 2: 3}),
+            # the non-tree links 1-2 and 2-3 carry 9 but hang below s's links
+            # of 3: a key of bw, not min(bw, W_u, W_v), would give M = 9
+            (4, MM_WIDE_CHORD, {1: 3, 2: 3, 3: 3}),
+            # the cycle of 0-2 (key 8) merges the tree links 0-1 and 1-2, so
+            # the climb of the cycle of 2-3 (key 5) from 2 passes their tree
+            # ancestor 1 and the merged class tops at s, not at 1
+            (4, MM_PAST_ANCESTOR, {1: 8, 2: 8, 3: 5}),
+        ],
+        ids=["bowtie", "wide-chord", "past-ancestor"],
+    )
+    def test_max_min_bounds_hand_cases(self, n, links, want):
+        # s = 0, then every source against path enumeration
+        g = make_graph(n, links)
+        assert _max_min_bounds(max_bandwidth_tree(g, 0), list(g.links())) == want
+        for src in range(n):
+            bounds = _max_min_bounds(max_bandwidth_tree(g, src), list(g.links()))
+            for d in range(n):
+                if d != src:
+                    pairs = _pairs_by_enum(g, src, d)
+                    assert bounds.get(d) == max((min(p) for p in pairs), default=None)
 
     def test_forced_nodes(self):
         # the nodes on every simple path over the links >= t, endpoints excluded
