@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,17 +89,23 @@ class RunConfig:
                 raise ValueError(f"unknown algorithm {_quote(a)}; choose from {ALGORITHMS}")
         if not self.algos:
             raise ValueError("no algorithms selected")
-        if len(set(self.algos)) != len(self.algos):
-            names = repr(self.algos)
-            if len(names) > _QUOTE_CHARS:
-                names = f"{names[:_QUOTE_CHARS]}... ({len(self.algos)} names)"
-            raise ValueError(f"duplicate algorithm in {names}")
+        _reject_repeats("algorithm", self.algos, repr, "names")
         if self.sweep is not None:
             if not self.sweep:
                 raise ValueError("empty sweep")
             for v in self.sweep:
                 if v < 1:
                     raise ValueError(f"sweep values must be >= 1, got {_quote_int(v)}")
+            _reject_repeats("sweep value", self.sweep, _quote_int, "values")
+
+
+def _reject_repeats(what: str, values: tuple, show: Callable[..., str], unit: str) -> None:
+    """ValueError naming values, cut after _QUOTE_CHARS characters, if one repeats."""
+    if len(set(values)) != len(values):
+        text = f"({', '.join(map(show, values))})"
+        if len(text) > _QUOTE_CHARS:
+            text = f"{text[:_QUOTE_CHARS]}... ({len(values)} {unit})"
+        raise ValueError(f"duplicate {what} in {text}")
 
 
 @dataclass

@@ -80,6 +80,8 @@ def _parse_sweep(text: str) -> tuple[int, ...] | None:
 
 
 def _cmd_bench(args) -> int:
+    if args.plot_data and args.out is None:
+        raise ValueError("--plot-data needs --out, the directory for the series files")
     if args.topology is not None:
         g = _load(args.topology)
         label = Path(args.topology).name
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_arg, default=1)
     p.add_argument("--algos", default=",".join(ALGORITHMS))
     p.add_argument("--out", help="directory for report.csv (stdout when omitted)")
-    p.add_argument("--plot-data", action="store_true", help="also write per-metric series files")
+    p.add_argument("--plot-data", action="store_true", help="also write per-metric series files into --out")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen", help="generate a random connected topology file")

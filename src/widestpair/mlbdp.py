@@ -18,15 +18,16 @@ not always the maximum.
 mlbdp_full certifies every answer. Per destination d, the wider path of
 a pair carries at most W_d, the widest-path bandwidth, and the narrower
 at most M_d, the largest bandwidth t at which s and d still share a
-biconnected block among the links >= t (one union-find pass over the
-fundamental cycles of the widest tree gives every M_d); so W_d + M_d
-bounds every pair, and M_d > 0 exactly when a pair exists. One limit
-run at the lowest limit supplies the first answers; an exact depth-first
-search over the wider path closes the gap wherever that answer is below
-the bound, within a budget of search steps. Only the destinations that
-search leaves open get the rest of the sweep, and then a second search.
-Each answer is a DisjointResult: the pair and its proven upper bound; it
-is optimal when its combined bandwidth equals that bound.
+biconnected block among the links >= t; so W_d + M_d bounds every pair,
+and M_d > 0 exactly when a pair exists. One union-find pass over the
+fundamental cycles of s's widest tree gives the blocks that hold s and
+every M_d. One limit run at the lowest limit supplies the first answers;
+an exact depth-first search over the wider path closes the gap wherever
+that answer is below the bound, within a budget of search steps. Only
+the destinations that search leaves open get the rest of the sweep, and
+then a second search. Each answer is a DisjointResult: the pair and its
+proven upper bound; it is optimal when its combined bandwidth equals
+that bound.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import heapq
 from dataclasses import dataclass
 
 from .graph import Graph, PathPair, bottleneck, check_endpoints, check_query
-from .widest import WidestTree, extract_widest_path, max_bandwidth_tree, widest_tree, without_link
+from .widest import Adjacency, WidestTree, extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of one exact search (at most two per destination); one step is one
 # candidate node for the wider path that the cheap filters let through
@@ -248,64 +249,25 @@ def reconstruct_pair(table: VNodeTable, d: int) -> PathPair:
     return PathPair(tuple(red), tuple(blue), table.r[idx], table.b[idx])
 
 
-def _source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[int, int, int]]]:
-    """Links of every biconnected block of s with 3 or more nodes, from
-    per-node (neighbor, bandwidth) lists.
+def _blocks_and_bounds(tree: WidestTree, adj: Adjacency) -> list[tuple[list[tuple[int, int, int]], dict[int, int]]]:
+    """The links of each biconnected block of s with 3 or more nodes, and
+    M_d for its nodes d: the largest t at which s and d share such a block
+    among the links >= t, so that two internally node-disjoint s-d paths
+    on those links exist (Menger). From s's widest tree and adjacency.
 
-    One iterative Tarjan DFS from s (Hopcroft & Tarjan 1973). Each link
-    goes on a stack when first seen; once the subtree of a child u of p
-    is done and low[u] >= disc[p], the links from the tree link (p, u)
-    up form one block. The blocks closed at p == s are the ones holding
-    s; a block of 2 nodes is a single link and holds no disjoint pair.
-    """
-    n = len(adj)
-    disc = [0] * n
-    low = [0] * n
-    disc[s] = low[s] = count = 1
-    links: list[tuple[int, int, int]] = []
-    blocks: list[list[tuple[int, int, int]]] = []
-    stack = [(s, -1, iter(adj[s]), 0)]
-    while stack:
-        u, parent, it, _ = stack[-1]
-        for v, bw in it:
-            if not disc[v]:
-                count += 1
-                disc[v] = low[v] = count
-                stack.append((v, u, iter(adj[v]), len(links)))
-                links.append((u, v, bw))
-                break
-            if v != parent and disc[v] < disc[u]:
-                links.append((u, v, bw))
-                low[u] = min(low[u], disc[v])
-        else:
-            _, p, _, start = stack.pop()
-            if p < 0:
-                continue
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:
-                if p == s and len(links) - start >= 3:
-                    blocks.append(links[start:])
-                del links[start:]
-    return blocks
-
-
-def _max_min_bounds(tree: WidestTree, links: list[tuple[int, int, int]]) -> dict[int, int]:
-    """M_d for every node d != s of a connected graph, from its links and
-    its widest tree from s: the largest t at which s and d share a
-    biconnected block of 3 or more nodes among the links >= t, so that two
-    internally node-disjoint s-d paths on those links exist (Menger).
-
-    One offline pass. The tree path from s to x carries at least W_x, so
-    the tree spans s's component of the links >= t, and a non-tree link
-    (u, v, bw) closes its fundamental cycle there for every t up to its
-    key min(bw, W_u, W_v), W_s infinite. Two links share a block exactly
-    when overlapping fundamental cycles connect them, so once the tree
-    links on the cycle of every key >= t are merged (union-find, keys
-    descending), the classes are the blocks of the links >= t. A class is
-    a subtree named by its head, the lower node of its top link: a walk
-    moves the deeper end x to parent[find(x)] until both ends meet at the
-    merged class's top node. A node's M_d is the key at which its class
-    first tops at s.
+    One offline pass over the links of s's component. The tree path from
+    s to x carries at least W_x, so the tree spans s's component of the
+    links >= t, and a non-tree link (u, v, bw) closes its fundamental
+    cycle there for every t up to its key min(bw, W_u, W_v), W_s
+    infinite. Two links share a block exactly when overlapping
+    fundamental cycles connect them, so once the tree links on the cycle
+    of every key >= t are merged (union-find, keys descending), the
+    classes are the blocks of the links >= t. A class is a subtree named
+    by its head, the lower node of its top link: a walk moves the deeper
+    end x to parent[find(x)] until both ends meet at the merged class's
+    top node. A node's M_d is the key at which its class first tops at s;
+    the classes that top at s at the end, each link in its deeper end's,
+    are the source blocks.
     """
     s, parent = tree.source, tree.previous
     w: list[float] = [*tree.maxbw]
@@ -313,6 +275,7 @@ def _max_min_bounds(tree: WidestTree, links: list[tuple[int, int, int]]) -> dict
     depth = [0] * len(w)
     for v in tree.settled[1:]:
         depth[v] = depth[parent[v]] + 1
+    links = [(u, v, bw) for u in tree.settled for v, bw in adj[u] if u < v]
     up = list(range(len(w)))
     pending: dict[int, list[int]] = {}  # per merged class, its nodes still without M_d
 
@@ -341,7 +304,14 @@ def _max_min_bounds(tree: WidestTree, links: list[tuple[int, int, int]]) -> dict
             bound.update(dict.fromkeys(nodes, key))
             nodes = []
         pending[heads[-1]] = nodes
-    return bound
+    blocks: dict[int, tuple[list[tuple[int, int, int]], dict[int, int]]] = {}
+    for d, m in bound.items():
+        blocks.setdefault(find(d), ([], {}))[1][d] = m
+    for u, v, bw in links:
+        head = find(u if depth[u] > depth[v] else v)
+        if head in blocks:
+            blocks[head][0].append((u, v, bw))
+    return list(blocks.values())
 
 
 def _limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
@@ -356,17 +326,17 @@ def _limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
 
     Two disjoint s-d paths exist only when d shares a biconnected block
     with s, and every simple path between two nodes of a block stays in
-    it, so the sweep runs on each such block alone (same node ids) over
-    the block's own bandwidths. Every vnode with both coordinates in the
-    block sees the same pops as in the whole-graph run, so the answers
-    are the whole-graph sweep's. A pair is rebuilt only when it beats the
-    destination's best so far.
+    it, so the sweep runs on each such block (_blocks_and_bounds) alone,
+    with the same node ids, over the block's own bandwidths. Every vnode
+    with both coordinates in the block sees the same pops as in the
+    whole-graph run, so the answers are the whole-graph sweep's. A pair
+    is rebuilt only when it beats the destination's best so far.
     """
     check_query(g, s)
     best: dict[int, PathPair] = {}
-    for links in _source_blocks(g.adjacency(), s):
+    for links, max_min in _blocks_and_bounds(max_bandwidth_tree(g, s), g.adjacency()):
         block = _block_graph(g.n, links)
-        _sweep_block(block, s, unique_bandwidths(block), sorted({v for _, v, _ in links} - {s}), best)
+        _sweep_block(block, s, unique_bandwidths(block), sorted(max_min), best)
     return {d: DisjointResult(best[d]) for d in sorted(best)}
 
 
@@ -420,9 +390,9 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
 
     A destination is present exactly when a pair to it exists, and every
     answer carries a proven upper_bound on the combined bandwidth of all
-    pairs to it. Per source block (see _limit_sweep) and destination d,
-    the bound is W_d + M_d, both from the block's widest-path tree of s
-    (M_d in one pass over it, _max_min_bounds). Then, in this order:
+    pairs to it. The bound is W_d + M_d: W_d from s's widest-path tree,
+    the source blocks (see _limit_sweep) and M_d from one pass over it,
+    _blocks_and_bounds. Per block, in this order:
 
     - one limit run at the block's lowest bandwidth gives the first
       answers;
@@ -442,10 +412,12 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
     """
     check_query(g, s)
     out: dict[int, DisjointResult] = {}
-    for links in _source_blocks(g.adjacency(), s):
+    if len(g.adjacency()[s]) < 2:  # no block of 3 or more nodes holds s
+        return out
+    tree = max_bandwidth_tree(g, s)
+    for links, max_min in _blocks_and_bounds(tree, g.adjacency()):
         block = _block_graph(g.n, links)
-        tree = max_bandwidth_tree(block, s)
-        bounds = {d: (tree.maxbw[d] + m, m) for d, m in _max_min_bounds(tree, links).items()}
+        bounds = {d: (tree.maxbw[d] + m, m) for d, m in max_min.items()}
         dests = sorted(bounds)
         limits = unique_bandwidths(block)
         best: dict[int, PathPair] = {}

@@ -1,14 +1,16 @@
-"""Library-side conveniences that only the tests use.
+"""Library-side conveniences and references that only the tests use.
 
-They build on the package's own search code (unlike the independent
-references in conftest.py) and are kept here so that src/ holds only the
-product path.
+mlbdp_single and virtual_link_count build on the package's own search
+code (unlike the independent references in conftest.py) and are kept here
+so that src/ holds only the product path. source_blocks is the reference
+block finder, a Tarjan DFS independent of mlbdp's union-find pass, and
+max_min_bounds_reference builds M_d from it threshold by threshold.
 """
 
 from __future__ import annotations
 
 from widestpair.graph import Graph, PathPair
-from widestpair.mlbdp import DisjointResult, _keep_improved, _source_blocks, run_limit_search
+from widestpair.mlbdp import DisjointResult, _keep_improved, run_limit_search
 
 
 def connected(g: Graph) -> bool:
@@ -37,8 +39,50 @@ def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
     return {d: DisjointResult(pair) for d, pair in best.items()}
 
 
+def source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[int, int, int]]]:
+    """Links of every biconnected block of s with 3 or more nodes, from
+    per-node (neighbor, bandwidth) lists; the reference for the blocks of
+    mlbdp._blocks_and_bounds.
+
+    One iterative Tarjan DFS from s (Hopcroft & Tarjan 1973). Each link
+    goes on a stack when first seen; once the subtree of a child u of p
+    is done and low[u] >= disc[p], the links from the tree link (p, u)
+    up form one block. The blocks closed at p == s are the ones holding
+    s; a block of 2 nodes is a single link and holds no disjoint pair.
+    """
+    n = len(adj)
+    disc = [0] * n
+    low = [0] * n
+    disc[s] = low[s] = count = 1
+    links: list[tuple[int, int, int]] = []
+    blocks: list[list[tuple[int, int, int]]] = []
+    stack = [(s, -1, iter(adj[s]), 0)]
+    while stack:
+        u, parent, it, _ = stack[-1]
+        for v, bw in it:
+            if not disc[v]:
+                count += 1
+                disc[v] = low[v] = count
+                stack.append((v, u, iter(adj[v]), len(links)))
+                links.append((u, v, bw))
+                break
+            if v != parent and disc[v] < disc[u]:
+                links.append((u, v, bw))
+                low[u] = min(low[u], disc[v])
+        else:
+            _, p, _, start = stack.pop()
+            if p < 0:
+                continue
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:
+                if p == s and len(links) - start >= 3:
+                    blocks.append(links[start:])
+                del links[start:]
+    return blocks
+
+
 def max_min_bounds_reference(n: int, links: list[tuple[int, int, int]], s: int) -> dict[int, int]:
-    """M_d by thresholds, the reference for mlbdp._max_min_bounds: the
+    """M_d by thresholds, the reference for mlbdp._blocks_and_bounds: the
     largest t at which s and d share a biconnected block of 3 or more
     nodes among the links >= t.
 
@@ -57,7 +101,7 @@ def max_min_bounds_reference(n: int, links: list[tuple[int, int, int]], s: int) 
             if bw > t:
                 adj[u].append((v, bw))
                 adj[v].append((u, bw))
-        links = [link for block in _source_blocks(adj, s) for link in block]
+        links = [link for block in source_blocks(adj, s) for link in block]
     del bound[s]
     return bound
 

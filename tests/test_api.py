@@ -3,7 +3,10 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,27 @@ def test_all_is_sorted_and_resolves():
 
 def test_all_keeps_the_perfbench_names():
     assert PERFBENCH_NAMES <= set(widestpair.__all__)
+
+
+def test_import_loads_no_third_party_package():
+    # the package is pure Python with no runtime dependencies; a fresh
+    # interpreter shows what importing every module pulls in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, widestpair\n"
+        "from widestpair import graph, widest, mlbdp, mba, exact, bench, cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & "
+        "{'numpy', 'scipy', 'networkx', 'hypothesis'})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_dropped_names_stay_in_their_submodules():

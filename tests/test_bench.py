@@ -161,6 +161,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="duplicate algorithm"):
             RunConfig(graph=five_node, algos=("mlbdp", "mlbdp"))
 
+    def test_duplicate_sweep_value(self, five_node):
+        with pytest.raises(ValueError, match=r"^duplicate sweep value in \(5, 10, 5\)$"):
+            RunConfig(graph=five_node, sweep=(5, 10, 5))
+        # cut as the duplicate-algorithm message is; a huge value is quoted cut too
+        with pytest.raises(ValueError, match=r"^duplicate sweep value in \(1, 1, .*\.\.\. \(1000 values\)$"):
+            RunConfig(graph=five_node, sweep=(1,) * 1000)
+        with pytest.raises(ValueError, match=r"^duplicate sweep value in \(10{78}\.\.\. \(2 values\)$"):
+            RunConfig(graph=five_node, sweep=(10**4999, 10**4999))
+
     def test_default_sweep_matches_protocol(self):
         assert DEFAULT_SWEEP == (10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 

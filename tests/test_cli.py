@@ -253,6 +253,22 @@ class TestBenchCommand:
         assert "duplicate algorithm" in captured.err
         assert captured.out == ""
 
+    def test_duplicate_sweep_value(self, capsys):
+        rc = main(["bench", "--gen", "10,15", "--sweep", "5,5", "--algos", "mlbdp"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate sweep value in (5, 5)\n"
+        assert captured.out == ""
+
+    def test_plot_data_needs_out(self, topo_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["bench", "--topology", topo_file, "--sweep", "fixed", "--plot-data"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --plot-data needs --out")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["five.topo"]
+
     @pytest.mark.parametrize(
         "args, head",
         [

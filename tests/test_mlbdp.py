@@ -12,12 +12,11 @@ from widestpair.graph import (
 from widestpair.mlbdp import (
     FALLBACK_BUDGET,
     VNodeTable,
+    _blocks_and_bounds,
     _BlockSearch,
     _block_graph,
     _initialize,
     _limit_sweep,
-    _max_min_bounds,
-    _source_blocks,
     mlbdp_full,
     reconstruct_pair,
     run_limit_search,
@@ -26,7 +25,7 @@ from widestpair.mlbdp import (
 from widestpair.widest import max_bandwidth_tree
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
-from .helpers import max_min_bounds_reference, mlbdp_single, virtual_link_count
+from .helpers import max_min_bounds_reference, mlbdp_single, source_blocks, virtual_link_count
 
 
 class TestUniqueBandwidths:
@@ -188,16 +187,54 @@ SKIPPED_LIMITS = [
     (0, 3, 27), (0, 6, 19), (1, 2, 3), (1, 4, 19), (1, 5, 14), (1, 6, 16),
     (2, 3, 16), (2, 4, 27), (2, 6, 2), (3, 4, 25), (3, 6, 15),
 ]
-# whole-graph _max_min_bounds regressions (see test_max_min_bounds_hand_cases)
+# whole-graph M_d regressions (see test_max_min_bounds_hand_cases)
 MM_BOWTIE = [(0, 1, 3), (0, 2, 4), (1, 2, 5), (2, 3, 6), (2, 4, 7), (3, 4, 8)]
 MM_WIDE_CHORD = [(0, 1, 3), (0, 2, 3), (1, 2, 9), (1, 3, 9), (2, 3, 9)]
 MM_PAST_ANCESTOR = [(0, 1, 10), (1, 2, 10), (1, 3, 10), (0, 2, 8), (2, 3, 5)]
+# two unlinked triangles: the widest tree from 0 leaves 3, 4 and 5 unreached
+TWO_TRIANGLES = [(0, 1, 3), (0, 2, 5), (1, 2, 4), (3, 4, 6), (3, 5, 7), (4, 5, 8)]
 HAND_GRAPHS = [
     make_graph(5, BOWTIE),
     make_graph(7, PENDANT_TREE),
     make_graph(6, BRIDGE),
     make_graph(7, SKIPPED_LIMITS),
+    make_graph(6, TWO_TRIANGLES),
 ]
+
+
+def _blocks(g, s):
+    """The source blocks of s with their M_d, from one widest tree."""
+    return _blocks_and_bounds(max_bandwidth_tree(g, s), g.adjacency())
+
+
+def _fifty_node_graphs():
+    """Ten 50-node graphs, too large to enumerate; bandwidths 1..10 force ties."""
+    return [
+        assign_random_bandwidths(generate_random_graph(50, m, seed=k), max_bw, seed=k)
+        for k in range(5)
+        for m, max_bw in [(100, 5000), (200, 10)]
+    ]
+
+
+def _sparse_graphs(count, seed):
+    """Seeded random graphs of 2..12 nodes with each pair linked at a fixed
+    rate, so that many are disconnected."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = 2 + rng.below(11)
+        rate = 2 + rng.below(4)  # in tenths
+        max_bw = (3, 50)[rng.below(2)]
+        links = [
+            (u, v, 1 + rng.below(max_bw))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.below(10) < rate
+        ]
+        yield make_graph(n, links)
+
+
+def _link_sets(blocks):
+    return {frozenset((min(u, v), max(u, v), bw) for u, v, bw in links) for links in blocks}
 
 
 class TestBlockSweep:
@@ -208,7 +245,7 @@ class TestBlockSweep:
 
     def test_skipped_limits_are_mapped(self):
         g = HAND_GRAPHS[3]
-        block_bws = {bw for links in _source_blocks(g.adjacency(), 0) for _, _, bw in links}
+        block_bws = {bw for links, _ in _blocks(g, 0) for _, _, bw in links}
         assert 14 in unique_bandwidths(g) and 14 not in block_bws
         res = mlbdp_full(g, 0)[2]
         assert res.combined == 32
@@ -217,7 +254,7 @@ class TestBlockSweep:
     def test_blocks_hold_every_feasible_destination(self):
         for g in [*HAND_GRAPHS, *suite_graphs(40, seed=563)]:
             for s in range(g.n):
-                in_block = {v for links in _source_blocks(g.adjacency(), s) for _, v, _ in links} - {s}
+                in_block = {d for _, bounds in _blocks(g, s) for d in bounds}
                 for d in range(g.n):
                     if d != s:
                         assert (d in in_block) == (optimal_pair_bruteforce(g, s, d) is not None)
@@ -345,8 +382,7 @@ class TestCertified:
     def test_max_min_bounds(self):
         for g in [*HAND_GRAPHS, *suite_graphs(40, seed=567, n_hi=7)]:
             for s in range(g.n):
-                for links in _source_blocks(g.adjacency(), s):
-                    bounds = _max_min_bounds(max_bandwidth_tree(_block_graph(g.n, links), s), links)
+                for links, bounds in _blocks(g, s):
                     search = _BlockSearch(_block_graph(g.n, links), s)
                     for d, m in bounds.items():
                         assert m == max(min(pair) for pair in _pairs_by_enum(g, s, d))
@@ -357,17 +393,34 @@ class TestCertified:
 
     def test_max_min_bounds_match_thresholds(self):
         # the one-pass M_d against the block search repeated per threshold,
-        # on graphs too large to enumerate; bandwidths 1..10 force ties
-        big = [
-            assign_random_bandwidths(generate_random_graph(50, m, seed=k), max_bw, seed=k)
-            for k in range(5)
-            for m, max_bw in [(100, 5000), (200, 10)]
-        ]
-        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=571), *big]:
+        # on graphs too large to enumerate
+        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=571), *_fifty_node_graphs()]:
             for s in range(g.n):
-                for links in _source_blocks(g.adjacency(), s):
-                    tree = max_bandwidth_tree(_block_graph(g.n, links), s)
-                    assert _max_min_bounds(tree, links) == max_min_bounds_reference(g.n, links, s)
+                for links, bounds in _blocks(g, s):
+                    assert bounds == max_min_bounds_reference(g.n, links, s)
+
+    def test_blocks_match_reference_dfs(self):
+        # the union-find pass against the Tarjan DFS, as link sets (the
+        # two orient links differently); the sparse graphs are often
+        # disconnected, and every block's bounds cover exactly its nodes
+        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=572), *_fifty_node_graphs(), *_sparse_graphs(300, seed=573)]:
+            for s in range(g.n):
+                blocks = _blocks(g, s)
+                assert _link_sets(links for links, _ in blocks) == _link_sets(source_blocks(g.adjacency(), s))
+                for links, bounds in blocks:
+                    assert set(bounds) == {x for u, v, _ in links for x in (u, v)} - {s}
+
+    def test_two_triangles_match_oracle(self):
+        # the pass runs over s's component only (see the two-triangles hand case)
+        g = make_graph(6, TWO_TRIANGLES)
+        for s in range(g.n):
+            full = mlbdp_full(g, s)
+            for d in range(g.n):
+                if d != s:
+                    best = optimal_pair_bruteforce(g, s, d)
+                    assert (best is None) == (d not in full)
+                    if best is not None:
+                        assert full[d].combined == full[d].upper_bound == best[1]
 
     @pytest.mark.parametrize(
         "n, links, want",
@@ -382,15 +435,21 @@ class TestCertified:
             # the climb of the cycle of 2-3 (key 5) from 2 passes their tree
             # ancestor 1 and the merged class tops at s, not at 1
             (4, MM_PAST_ANCESTOR, {1: 8, 2: 8, 3: 5}),
+            # the other triangle is another component, which the pass leaves out
+            (6, TWO_TRIANGLES, {1: 3, 2: 3}),
         ],
-        ids=["bowtie", "wide-chord", "past-ancestor"],
+        ids=["bowtie", "wide-chord", "past-ancestor", "two-triangles"],
     )
     def test_max_min_bounds_hand_cases(self, n, links, want):
         # s = 0, then every source against path enumeration
         g = make_graph(n, links)
-        assert _max_min_bounds(max_bandwidth_tree(g, 0), list(g.links())) == want
+
+        def max_min_bounds(s):
+            return {d: m for _, bounds in _blocks(g, s) for d, m in bounds.items()}
+
+        assert max_min_bounds(0) == want
         for src in range(n):
-            bounds = _max_min_bounds(max_bandwidth_tree(g, src), list(g.links()))
+            bounds = max_min_bounds(src)
             for d in range(n):
                 if d != src:
                     pairs = _pairs_by_enum(g, src, d)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from widestpair import mlbdp
 from widestpair.exact import optimal_pair_bruteforce
 from widestpair.graph import validate_pair
-from widestpair.mlbdp import _block_graph, _max_min_bounds, _source_blocks, mlbdp_full
+from widestpair.mlbdp import _blocks_and_bounds, mlbdp_full
 from widestpair.widest import max_bandwidth_tree
 
 from .conftest import make_graph
@@ -61,6 +61,5 @@ def test_full_answers_are_valid_and_bracket_the_optimum(query, budget):
 @given(queries())
 def test_max_min_bounds_match_thresholds(query):
     g, s = query
-    for links in _source_blocks(g.adjacency(), s):
-        tree = max_bandwidth_tree(_block_graph(g.n, links), s)
-        assert _max_min_bounds(tree, links) == max_min_bounds_reference(g.n, links, s)
+    for links, bounds in _blocks_and_bounds(max_bandwidth_tree(g, s), g.adjacency()):
+        assert bounds == max_min_bounds_reference(g.n, links, s)
