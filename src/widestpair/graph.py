@@ -34,7 +34,7 @@ class Graph:
     threads is safe.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_snapshot")
+    __slots__ = ("n", "_adj", "_m", "_snapshot", "_top")
 
     def __init__(self, n: int):
         if n < 1:
@@ -43,6 +43,7 @@ class Graph:
         self._adj: list[dict[int, int]] = [{} for _ in range(n)]
         self._m = 0
         self._snapshot: list[list[tuple[int, int]]] | None = None
+        self._top: tuple[int, int] | None = None
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -61,6 +62,7 @@ class Graph:
         self._adj[v][u] = bw
         self._m += 1
         self._snapshot = None
+        self._top = None
 
     @property
     def m(self) -> int:
@@ -95,6 +97,14 @@ class Graph:
         if self._snapshot is None:
             self._snapshot = [sorted(d.items()) for d in self._adj]
         return self._snapshot
+
+    def top_links(self) -> tuple[int, int]:
+        """(largest link bandwidth, number of links carrying it); (0, 0) without links."""
+        if self._top is None:
+            top = max((max(d.values()) for d in self._adj if d), default=0)
+            # every link sits in the rows of both its ends
+            self._top = (top, sum(list(d.values()).count(top) for d in self._adj) // 2)
+        return self._top
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

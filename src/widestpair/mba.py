@@ -14,6 +14,12 @@ is none, the widest path's narrowest link is not source-incident, so W is
 itself one of the other bandwidths and the sweep stops at W. A round
 therefore needs one widest search (widest.widest_tree, stopped at t) and
 one cheapest-path search.
+
+The cheapest-path cost is C - bandwidth, with C one above the largest
+bandwidth left. Round one's C comes from the graph's top bandwidth
+(Graph.top_links, found once per graph). Round two counts the top links
+the first path's removal takes and keeps that C unless it took them all;
+only then does it scan what is left.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from .graph import Graph, PathPair, bottleneck, check_query
 from .widest import Adjacency, widest_tree, without_link
 
 
-def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int]) -> tuple[int, ...]:
+def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int], c: int) -> tuple[int, ...]:
     """Min-cost Dijkstra on the links with bandwidth >= tau, avoiding the closed nodes.
 
-    Cost per link is C - bandwidth with C one above the largest remaining
-    bandwidth, so high-bandwidth links are preferred. Ties go to fewer
-    hops, then lowest node id. Callers ensure that t is reachable.
+    Cost per link is c - bandwidth, where the caller passes c one above the
+    largest bandwidth on a link between two open nodes, so high-bandwidth
+    links are preferred. Ties go to fewer hops, then lowest node id.
+    Callers ensure that t is reachable.
     """
     n = len(adj)
-    c = 1 + max(bw for u, row in enumerate(adj) if u not in closed for v, bw in row if v not in closed)
     done = bytearray(n)
     for v in closed:
         done[v] = 1
@@ -64,13 +70,16 @@ def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int]) -
     return tuple(path)
 
 
-def _round_path(adj: Adjacency, s: int, t: int, closed: set[int]) -> tuple[int, ...] | None:
-    """One round: the path the threshold sweep returns, or None when t is unreachable."""
+def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tuple[int, ...] | None:
+    """One round: the path the threshold sweep returns, or None when t is unreachable.
+
+    c is _cheapest_path's cost constant for this round's graph.
+    """
     w = widest_tree(adj, s, closed, t).maxbw[t]
     if w == 0:
         return None
     tau = max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
-    return _cheapest_path(adj, s, t, tau, closed)
+    return _cheapest_path(adj, s, t, tau, closed, c)
 
 
 def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
@@ -79,18 +88,30 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     Round one finds a path; its links, its interior nodes (never s or
     t), and their incident links are removed; round two repeats the
     sweep on what is left. Returns None as soon as either round finds
-    nothing.
+    nothing. Both rounds use C = top + 1 for the graph's largest
+    bandwidth top, unless round two has lost every link of bandwidth
+    top; it then scans what is left for its C.
     """
     check_query(g, s, t)
     adj = g.adjacency()
-    first = _round_path(adj, s, t, set())
+    top, count = g.top_links()
+    first = _round_path(adj, s, t, set(), top + 1)
     if first is None:
         return None
-    if len(first) == 2:
+    red_bw = bottleneck(g, first)
+    closed = set(first[1:-1])
+    if closed:
+        # a top link between two removed nodes counts once, at its higher end
+        lost = sum(1 for x in closed for v, bw in adj[x] if bw == top and (v < x or v not in closed))
+    else:
         # the direct s-t hop leaves no interior node to delete, so round
         # two drops the link itself
         adj = without_link(adj, s, t)
-    second = _round_path(adj, s, t, set(first[1:-1]))
+        lost = int(red_bw == top)
+    c = top + 1
+    if lost == count:
+        c = 1 + max((bw for u, row in enumerate(adj) if u not in closed for v, bw in row if v not in closed), default=0)
+    second = _round_path(adj, s, t, closed, c)
     if second is None:
         return None
-    return PathPair(first, second, bottleneck(g, first), bottleneck(g, second))
+    return PathPair(first, second, red_bw, bottleneck(g, second))

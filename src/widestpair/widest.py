@@ -59,11 +59,13 @@ def widest_tree(adj: Adjacency, s: int, closed: Iterable[int] = (), stop: int = 
         permanent[v] = True
     permanent[s] = True
     settled = [s]
-    heap: list[tuple[int, int]] = []
+    # an entry for node v at width w is the int v - w * n: entries pop
+    # widest first, ties lowest node first, and key % n recovers v
+    heap: list[int] = []
     for v, bw in adj[s]:
         if not permanent[v]:
             maxbw[v] = bw
-            heap.append((-bw, v))
+            heap.append(v - bw * n)
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
@@ -71,7 +73,7 @@ def widest_tree(adj: Adjacency, s: int, closed: Iterable[int] = (), stop: int = 
     # improve it, and later pushes are no wider than the pop), so a pop
     # of a permanent node is the only stale one
     while heap:
-        x = pop(heap)[1]
+        x = pop(heap) % n
         if permanent[x]:
             continue
         permanent[x] = True
@@ -86,7 +88,7 @@ def widest_tree(adj: Adjacency, s: int, closed: Iterable[int] = (), stop: int = 
             if w > maxbw[v]:
                 maxbw[v] = w
                 previous[v] = x
-                push(heap, (-w, v))
+                push(heap, v - w * n)
     return WidestTree(s, maxbw, previous, permanent, settled)
 
 

@@ -5,12 +5,17 @@ code (unlike the independent references in conftest.py) and are kept here
 so that src/ holds only the product path. source_blocks is the reference
 block finder, a Tarjan DFS independent of mlbdp's union-find pass, and
 max_min_bounds_reference builds M_d from it threshold by threshold.
+widest_tree_reference is the widest search with (-width, node) tuple heap
+keys, the reference for widest_tree's extraction order.
 """
 
 from __future__ import annotations
 
+import heapq
+
 from widestpair.graph import Graph, PathPair
 from widestpair.mlbdp import DisjointResult, _keep_improved, run_limit_search
+from widestpair.widest import WidestTree
 
 
 def connected(g: Graph) -> bool:
@@ -122,3 +127,41 @@ def virtual_link_count(g: Graph) -> int:
             ends += di + len(adj[j])
     assert ends % 2 == 0
     return ends // 2
+
+
+def widest_tree_reference(adj: list[list[tuple[int, int]]], s: int, closed=(), stop: int = -1) -> WidestTree:
+    """widest.widest_tree with (-width, node) tuples as heap entries, so
+    extraction is widest first and ties go to the lowest node id by tuple
+    order alone."""
+    n = len(adj)
+    maxbw = [0] * n
+    previous: list[int | None] = [s] * n
+    previous[s] = None
+    permanent = [False] * n
+    for v in closed:
+        permanent[v] = True
+    permanent[s] = True
+    settled = [s]
+    heap: list[tuple[int, int]] = []
+    for v, bw in adj[s]:
+        if not permanent[v]:
+            maxbw[v] = bw
+            heap.append((-bw, v))
+    heapq.heapify(heap)
+    while heap:
+        x = heapq.heappop(heap)[1]
+        if permanent[x]:
+            continue
+        permanent[x] = True
+        settled.append(x)
+        if x == stop:
+            break
+        for v, bw in adj[x]:
+            if permanent[v]:
+                continue
+            w = min(maxbw[x], bw)
+            if w > maxbw[v]:
+                maxbw[v] = w
+                previous[v] = x
+                heapq.heappush(heap, (-w, v))
+    return WidestTree(s, maxbw, previous, permanent, settled)

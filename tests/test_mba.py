@@ -3,7 +3,7 @@ import heapq
 import pytest
 
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import PathPair, bottleneck, validate_pair
+from widestpair.graph import PathPair, bottleneck, parse_topology, serialize_topology, validate_pair
 from widestpair.mba import _round_path, mba_pair
 from widestpair.mlbdp import mlbdp_full
 
@@ -91,6 +91,10 @@ def _ref_mba_pair(g, s, t):
     return PathPair(first, second, bottleneck(g, first), bottleneck(g, second))
 
 
+# query 0-1: both links of bandwidth 100 make up round one's path
+TOP_ON_FIRST_PATH = [(0, 2, 100), (2, 1, 100), (0, 3, 4), (3, 1, 4), (0, 4, 4), (4, 5, 9), (5, 1, 9)]
+
+
 def _equality_graphs():
     yield make_graph(4, TRAP_LINKS)
     yield make_graph(3, [(0, 1, 34), (0, 2, 14), (1, 2, 1)])
@@ -108,7 +112,7 @@ class TestPairSearch:
 
     def test_trap_graph_first_path_is_unique_widest(self, trap):
         # node map: source 0, t 3, the widest route runs 0-2-1-3
-        assert _round_path(trap.adjacency(), 0, 3, set()) == (0, 2, 1, 3)
+        assert _round_path(trap.adjacency(), 0, 3, set(), trap.top_links()[0] + 1) == (0, 2, 1, 3)
 
     def test_trap_graph_misses_pair(self, trap):
         # removing the widest path's interior disconnects the endpoints,
@@ -128,6 +132,35 @@ class TestPairSearch:
         if pair is not None:
             validate_pair(g, pair)
             assert pair.red != pair.blue
+
+    def test_round_two_loses_every_top_link(self):
+        # both links of bandwidth 100 lie on the first path, so round two's
+        # C falls to 10; round one's C of 101 would make 0-3-1 the cheaper
+        # blue path
+        g = make_graph(6, TOP_ON_FIRST_PATH)
+        assert mba_pair(g, 0, 1) == PathPair((0, 2, 1), (0, 4, 5, 1), 100, 4)
+        # the only top link joins two removed nodes; counted twice, round
+        # two would keep C = 101 and take 0-4-1
+        g = make_graph(7, [(0, 2, 20), (2, 3, 100), (3, 1, 20), (0, 4, 3), (4, 1, 3), (0, 5, 3), (5, 6, 9), (6, 1, 9)])
+        assert mba_pair(g, 0, 1) == PathPair((0, 2, 3, 1), (0, 5, 6, 1), 20, 3)
+
+    def test_direct_link_is_the_only_top_link(self):
+        g = make_graph(4, [(0, 1, 50), (0, 2, 3), (2, 3, 3), (3, 1, 3), (0, 3, 1)])
+        assert mba_pair(g, 0, 1) == PathPair((0, 1), (0, 2, 3, 1), 50, 3)
+        # here round two's C decides: 10 picks 0-2-4-1, 51 would pick 0-3-1
+        g = make_graph(5, [(0, 1, 50), (0, 2, 3), (2, 4, 9), (4, 1, 9), (0, 3, 3), (3, 1, 3)])
+        assert mba_pair(g, 0, 1) == PathPair((0, 1), (0, 2, 4, 1), 50, 3)
+
+    def test_new_widest_link_is_seen(self):
+        # answers after add_link equal those on a freshly parsed copy
+        g = make_graph(6, TOP_ON_FIRST_PATH)
+        queries = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        before = [mba_pair(g, s, t) for s, t in queries]
+        g.add_link(3, 4, 300)
+        after = [mba_pair(g, s, t) for s, t in queries]
+        fresh = parse_topology(serialize_topology(g))
+        assert after == [mba_pair(fresh, s, t) for s, t in queries]
+        assert after != before
 
     def test_bad_endpoints(self, five_node):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from widestpair.graph import Graph, SplitMix64, bottleneck
 from widestpair.widest import extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 from .conftest import make_graph, suite_graphs, widest_by_enum
+from .helpers import widest_tree_reference
 
 
 def test_five_node_values(five_node):
@@ -105,6 +106,33 @@ def test_closed_nodes_stop_and_dropped_link():
                 assert path[0] == s and path[-1] == t and not closed & set(path)
                 assert not (drop and path == (s, t))
                 assert bottleneck(g, path) == tree.maxbw[t]
+
+
+def test_tie_order_matches_tuple_keys():
+    # bandwidths 1..2 and 1..3 tie almost everywhere, so every result field
+    # depends on the extraction order
+    rng = SplitMix64(83)
+    graphs = [*suite_graphs(40, seed=83, max_bw=2), *suite_graphs(40, seed=84, max_bw=3)]
+    searches = 0
+    for g in graphs:
+        adj = g.adjacency()
+        for s in range(g.n):
+            closed = {v for v in range(g.n) if v != s and rng.below(4) == 0}
+            stop = (s + 1 + rng.below(g.n - 1)) % g.n
+            for args in [(), (closed,), ((), stop), (closed, stop)]:
+                got = widest_tree(adj, s, *args)
+                want = widest_tree_reference(adj, s, *args)
+                assert (got.maxbw, got.previous, got.settled) == (want.maxbw, want.previous, want.settled), (g, s, args)
+                searches += 1
+    assert searches == 4 * sum(g.n for g in graphs)
+
+
+def test_equal_widths_settle_lowest_id_first():
+    # node 3 is reached at width 5 before node 2 is, yet 2 settles first
+    g = make_graph(4, [(0, 3, 5), (0, 1, 9), (1, 2, 5)])
+    tree = widest_tree(g.adjacency(), 0)
+    assert tree.settled == [0, 1, 2, 3]
+    assert tree.previous == [None, 0, 1, 0]
 
 
 def test_without_link_leaves_adjacency_unchanged(five_node):
