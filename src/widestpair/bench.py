@@ -1,7 +1,8 @@
 """Benchmark harness: all ordered pairs, bandwidth sweeps, CSV reports.
 
-Every algorithm is one entry of SOLVERS: fn(g, s, dests) returns
-{d: (pair, upper_bound)} for the destinations in dests that have a pair.
+Every algorithm is one entry of SOLVERS: fn(g, s, dests) answers only
+the destinations in dests, and returns {d: (pair, upper_bound)} for those
+that have a pair.
 upper_bound is mlbdp_full's certificate, the combined bandwidth itself
 for the oracle, and None for MBA, which proves nothing. The oracle
 stops at exact.PATH_CAP simple paths per query. The CLI answers one
@@ -43,8 +44,7 @@ Answers = dict[int, tuple[PathPair, int | None]]  # dest -> (pair, upper bound)
 # as module globals at call time, so rebinding them here (as a tracer
 # does) reaches every caller of the table.
 def _mlbdp(g: Graph, s: int, dests: Iterable[int]) -> Answers:
-    res = mlbdp_full(g, s)
-    return {d: (res[d].pair, res[d].upper_bound) for d in dests if d in res}
+    return {d: (r.pair, r.upper_bound) for d, r in mlbdp_full(g, s, dests).items()}
 
 
 def _mba(g: Graph, s: int, dests: Iterable[int]) -> Answers:

@@ -4,14 +4,12 @@ The brute-force search enumerates every simple path and scans disjoint
 pairings, so it is exact but only usable at desk scale: a query with more
 than PATH_CAP simple paths raises EnumerationCapError. The ILP builder
 emits the equivalent mixed-integer model in LP text format for external
-solvers; a constraint evaluator lets tests walk known pairs through the
-emitted model.
+solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .graph import Graph, PathPair, bottleneck, check_query
 
@@ -118,13 +116,6 @@ class LinearConstraint:
     sense: str  # "=" or "<="
     rhs: int
 
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        return sum(c * assignment.get(v, 0) for v, c in self.coeffs)
-
-    def satisfied(self, assignment: Mapping[str, int]) -> bool:
-        lhs = self.evaluate(assignment)
-        return lhs == self.rhs if self.sense == "=" else lhs <= self.rhs
-
 
 @dataclass(frozen=True)
 class IlpModel:
@@ -142,19 +133,6 @@ class IlpModel:
     binaries: tuple[str, ...]
     continuous: tuple[str, ...]
     constraints: tuple[LinearConstraint, ...]
-
-    def group_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.constraints:
-            counts[c.group] = counts.get(c.group, 0) + 1
-        return counts
-
-    def violations(self, assignment: Mapping[str, int]) -> list[str]:
-        """Names of constraints (and variable domains) the assignment breaks."""
-        bad = [c.name for c in self.constraints if not c.satisfied(assignment)]
-        bad.extend(f"binary {v}" for v in self.binaries if assignment.get(v, 0) not in (0, 1))
-        bad.extend(f"bound {v}" for v in self.continuous if assignment.get(v, 0) < 0)
-        return bad
 
 
 def build_ilp(g: Graph, s: int, t: int) -> IlpModel:
@@ -235,16 +213,3 @@ def render_lp(model: IlpModel) -> str:
 def export_ilp(g: Graph, s: int, t: int) -> str:
     """Build and render the model in one step."""
     return render_lp(build_ilp(g, s, t))
-
-
-def pair_to_assignment(pair: PathPair) -> dict[str, int]:
-    """Encode a concrete pair as 0/1 arc variables plus yr/yb.
-
-    Variables not present are implicitly 0 for the evaluator.
-    """
-    out = {"yr": pair.red_bw, "yb": pair.blue_bw}
-    for a, b in zip(pair.red, pair.red[1:]):
-        out[f"r_{a}_{b}"] = 1
-    for a, b in zip(pair.blue, pair.blue[1:]):
-        out[f"b_{a}_{b}"] = 1
-    return out

@@ -10,10 +10,10 @@ means destination d was reached by two internally node-disjoint paths.
 One run answers "best first-path bottleneck subject to a partner path of
 bandwidth >= limit" for every destination at once. Sweeping the limit
 over every distinct link bandwidth and keeping the best combined result
-per destination is the paper's algorithm (_limit_sweep). It keeps one
-state per vnode, so an accepted overwrite can discard the only state
-that reaches the optimum: its answers are valid pairs and a lower bound,
-not always the maximum.
+per destination is the paper's algorithm. It keeps one state per vnode,
+so an accepted overwrite can discard the only state that reaches the
+optimum: its answers are valid pairs and a lower bound, not always the
+maximum.
 
 mlbdp_full certifies every answer. Per destination d, the wider path of
 a pair carries at most W_d, the widest-path bandwidth, and the narrower
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 
 from .graph import Graph, PathPair, bottleneck, check_endpoints, check_query
@@ -77,7 +78,8 @@ class DisjointResult:
     upper_bound is a proven bound on the combined bandwidth of every pair
     to that destination. It equals combined when the pair is proven
     optimal, and it is larger only when the exact search ran out of
-    budget. _limit_sweep leaves it None.
+    budget. It is None on a result built from a pair alone, which
+    certifies nothing.
     """
 
     pair: PathPair
@@ -314,32 +316,6 @@ def _blocks_and_bounds(tree: WidestTree, adj: Adjacency) -> list[tuple[list[tupl
     return list(blocks.values())
 
 
-def _limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
-    """The paper's search: best pair per destination over all limits.
-
-    Keeps, per destination, the largest combined bandwidth over one limit
-    search per distinct link bandwidth, then the larger min bottleneck;
-    on full ties the smaller limit. A destination is present exactly
-    when some run reached it. The answers are valid pairs but can fall
-    short of the optimum (see the module docstring); mlbdp_full certifies
-    them.
-
-    Two disjoint s-d paths exist only when d shares a biconnected block
-    with s, and every simple path between two nodes of a block stays in
-    it, so the sweep runs on each such block (_blocks_and_bounds) alone,
-    with the same node ids, over the block's own bandwidths. Every vnode
-    with both coordinates in the block sees the same pops as in the
-    whole-graph run, so the answers are the whole-graph sweep's. A pair
-    is rebuilt only when it beats the destination's best so far.
-    """
-    check_query(g, s)
-    best: dict[int, PathPair] = {}
-    for links, max_min in _blocks_and_bounds(max_bandwidth_tree(g, s), g.adjacency()):
-        block = _block_graph(g.n, links)
-        _sweep_block(block, s, unique_bandwidths(block), sorted(max_min), best)
-    return {d: DisjointResult(best[d]) for d in sorted(best)}
-
-
 def _block_graph(n: int, links: list[tuple[int, int, int]]) -> Graph:
     block = Graph(n)
     for u, v, bw in links:
@@ -347,31 +323,7 @@ def _block_graph(n: int, links: list[tuple[int, int, int]]) -> Graph:
     return block
 
 
-def _sweep_block(
-    block: Graph,
-    s: int,
-    limits: list[int],
-    dests: list[int],
-    best: dict[int, PathPair],
-    bounds: dict[int, tuple[int, int]] | None = None,
-) -> None:
-    """Limit runs over limits, ascending, into best.
-
-    With bounds (d -> (W_d + M_d, M_d)) the sweep stops at the first
-    limit above M_d of every destination whose best is still below its
-    bound: the narrower path of any pair to d carries at most M_d, so a
-    higher limit cannot be the optimum's partner limit.
-    """
-    for limit in limits:
-        if bounds is not None and all(
-            limit > m or (d in best and best[d].combined == ub) for d, (ub, m) in bounds.items()
-        ):
-            break
-        # the table is freed before the next run allocates its own
-        _keep_improved(run_limit_search(block, s, limit), dests, best)
-
-
-def _keep_improved(table: VNodeTable, dests: list[int], best: dict[int, PathPair]) -> None:
+def _keep_improved(table: VNodeTable, dests: Iterable[int], best: dict[int, PathPair]) -> None:
     """Record each reached destination whose (combined, min bottleneck)
     beats its best so far, rebuilding only those pairs."""
     n = table.n
@@ -385,14 +337,18 @@ def _keep_improved(table: VNodeTable, dests: list[int], best: dict[int, PathPair
                 best[d] = reconstruct_pair(table, d)
 
 
-def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
-    """Certified best node-disjoint pair per destination.
+def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int, DisjointResult]:
+    """Certified best node-disjoint pair per destination in dests, every
+    destination when dests is None.
 
     A destination is present exactly when a pair to it exists, and every
     answer carries a proven upper_bound on the combined bandwidth of all
     pairs to it. The bound is W_d + M_d: W_d from s's widest-path tree,
-    the source blocks (see _limit_sweep) and M_d from one pass over it,
-    _blocks_and_bounds. Per block, in this order:
+    the source blocks and M_d from one pass over it, _blocks_and_bounds.
+    Two disjoint s-d paths exist only when d shares a biconnected block
+    with s, and every simple path between two nodes of a block stays in
+    it, so each block is searched alone, with the same node ids. Per
+    block that holds a wanted destination, for the wanted ones only:
 
     - one limit run at the block's lowest bandwidth gives the first
       answers;
@@ -402,30 +358,43 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
       paths on the links >= M_d) when the run reached nothing or less
       than 2 M_d. A search that finishes proves its pair optimal;
     - only the destinations still unproven get the paper's limit sweep
-      over the remaining limits, up to the largest M_d among them;
+      over the remaining limits, up to the largest M_d among those still
+      unproven: the narrower path of any pair to d carries at most M_d,
+      so a higher limit cannot be the optimum's partner limit;
     - a destination whose incumbent now beats the value its first search
       started from gets a second search from that incumbent; from the
       same start it would only repeat the first. An answer left unproven
       keeps the incumbent and reports the bound W_d + M_d, never a guess.
 
-    Results depend only on the graph and s, never on timing.
+    Results depend only on the graph, s and dests, never on timing. A
+    wanted destination gets the same first run, searches and sweep runs
+    up to its M_d whatever else dests holds, and a destination left out
+    gets no search and no sweep run of its own. A bad destination raises
+    ValueError before any search.
     """
     check_query(g, s)
+    if dests is None:
+        wanted: Container[int] = range(g.n)
+    else:
+        wanted = set()
+        for d in dests:
+            check_endpoints(g.n, s, d)
+            wanted.add(d)
     out: dict[int, DisjointResult] = {}
     if len(g.adjacency()[s]) < 2:  # no block of 3 or more nodes holds s
         return out
     tree = max_bandwidth_tree(g, s)
     for links, max_min in _blocks_and_bounds(tree, g.adjacency()):
+        bounds = {d: (tree.maxbw[d] + m, m) for d, m in sorted(max_min.items()) if d in wanted}
+        if not bounds:
+            continue
         block = _block_graph(g.n, links)
-        bounds = {d: (tree.maxbw[d] + m, m) for d, m in max_min.items()}
-        dests = sorted(bounds)
         limits = unique_bandwidths(block)
         best: dict[int, PathPair] = {}
-        _keep_improved(run_limit_search(block, s, limits[0]), dests, best)
+        _keep_improved(run_limit_search(block, s, limits[0]), bounds, best)
         search = None
         started: dict[int, int] = {}
-        for d in dests:
-            ub, m = bounds[d]
+        for d, (ub, m) in bounds.items():
             pair = best.get(d)
             if pair is not None and pair.combined == ub:
                 out[d] = DisjointResult(pair, ub)
@@ -438,7 +407,11 @@ def mlbdp_full(g: Graph, s: int) -> dict[int, DisjointResult]:
                 out[d] = DisjointResult(best[d], ub)
             else:
                 started[d] = pair.combined
-        _sweep_block(block, s, limits[1:], list(started), best, {d: bounds[d] for d in started})
+        for limit in limits[1:]:
+            if all(limit > bounds[d][1] or best[d].combined == bounds[d][0] for d in started):
+                break
+            # the table is freed before the next run allocates its own
+            _keep_improved(run_limit_search(block, s, limit), started, best)
         for d, start in started.items():
             ub, m = bounds[d]
             # a first search that raised the incumbent and then ran out of

@@ -1,21 +1,35 @@
 """Library-side conveniences and references that only the tests use.
 
-mlbdp_single and virtual_link_count build on the package's own search
-code (unlike the independent references in conftest.py) and are kept here
-so that src/ holds only the product path. source_blocks is the reference
-block finder, a Tarjan DFS independent of mlbdp's union-find pass, and
-max_min_bounds_reference builds M_d from it threshold by threshold.
-widest_tree_reference is the widest search with (-width, node) tuple heap
-keys, the reference for widest_tree's extraction order.
+mlbdp_single, limit_sweep and virtual_link_count build on the package's
+own search code (unlike the independent references in conftest.py) and
+are kept here so that src/ holds only the product path. limit_sweep is
+the paper's algorithm, one limit run per distinct bandwidth of each
+source block, which mlbdp_full must never fall below. source_blocks is
+the reference block finder, a Tarjan DFS independent of mlbdp's
+union-find pass, and max_min_bounds_reference builds M_d from it
+threshold by threshold. widest_tree_reference is the widest search with
+(-width, node) tuple heap keys, the reference for widest_tree's
+extraction order. evaluate, satisfied, group_counts, violations and
+pair_to_assignment walk concrete assignments through the rows of an
+exact.IlpModel.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 
+from widestpair.exact import IlpModel, LinearConstraint
 from widestpair.graph import Graph, PathPair
-from widestpair.mlbdp import DisjointResult, _keep_improved, run_limit_search
-from widestpair.widest import WidestTree
+from widestpair.mlbdp import (
+    DisjointResult,
+    _block_graph,
+    _blocks_and_bounds,
+    _keep_improved,
+    run_limit_search,
+    unique_bandwidths,
+)
+from widestpair.widest import WidestTree, max_bandwidth_tree
 
 
 def connected(g: Graph) -> bool:
@@ -42,6 +56,30 @@ def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
     best: dict[int, PathPair] = {}
     _keep_improved(run_limit_search(g, s, limit), [d for d in range(g.n) if d != s], best)
     return {d: DisjointResult(pair) for d, pair in best.items()}
+
+
+def limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
+    """The paper's search: best pair per destination over all limits.
+
+    Keeps, per destination, the largest combined bandwidth over one limit
+    search per distinct link bandwidth, then the larger min bottleneck;
+    on full ties the smaller limit. A destination is present exactly
+    when some run reached it. The answers are valid pairs but can fall
+    short of the optimum (see the mlbdp module docstring).
+
+    The sweep runs on each source block alone, over the block's own
+    bandwidths. Every vnode with both coordinates in the block sees the
+    same pops as in the whole-graph run, so the answers are the
+    whole-graph sweep's. A pair is rebuilt only when it beats the
+    destination's best so far.
+    """
+    best: dict[int, PathPair] = {}
+    # max_bandwidth_tree checks the source
+    for links, max_min in _blocks_and_bounds(max_bandwidth_tree(g, s), g.adjacency()):
+        block = _block_graph(g.n, links)
+        for limit in unique_bandwidths(block):
+            _keep_improved(run_limit_search(block, s, limit), sorted(max_min), best)
+    return {d: DisjointResult(best[d]) for d in sorted(best)}
 
 
 def source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[int, int, int]]]:
@@ -165,3 +203,42 @@ def widest_tree_reference(adj: list[list[tuple[int, int]]], s: int, closed=(), s
                 previous[v] = x
                 heapq.heappush(heap, (-w, v))
     return WidestTree(s, maxbw, previous, permanent, settled)
+
+
+def evaluate(row: LinearConstraint, assignment: Mapping[str, int]) -> int:
+    """The row's left-hand side; variables not assigned count as 0."""
+    return sum(c * assignment.get(v, 0) for v, c in row.coeffs)
+
+
+def satisfied(row: LinearConstraint, assignment: Mapping[str, int]) -> bool:
+    lhs = evaluate(row, assignment)
+    return lhs == row.rhs if row.sense == "=" else lhs <= row.rhs
+
+
+def group_counts(model: IlpModel) -> dict[str, int]:
+    """Number of rows per constraint group."""
+    counts: dict[str, int] = {}
+    for c in model.constraints:
+        counts[c.group] = counts.get(c.group, 0) + 1
+    return counts
+
+
+def violations(model: IlpModel, assignment: Mapping[str, int]) -> list[str]:
+    """Names of constraints (and variable domains) the assignment breaks."""
+    bad = [c.name for c in model.constraints if not satisfied(c, assignment)]
+    bad.extend(f"binary {v}" for v in model.binaries if assignment.get(v, 0) not in (0, 1))
+    bad.extend(f"bound {v}" for v in model.continuous if assignment.get(v, 0) < 0)
+    return bad
+
+
+def pair_to_assignment(pair: PathPair) -> dict[str, int]:
+    """Encode a concrete pair as 0/1 arc variables plus yr/yb.
+
+    Variables not present are implicitly 0 for the evaluator.
+    """
+    out = {"yr": pair.red_bw, "yb": pair.blue_bw}
+    for a, b in zip(pair.red, pair.red[1:]):
+        out[f"r_{a}_{b}"] = 1
+    for a, b in zip(pair.blue, pair.blue[1:]):
+        out[f"b_{a}_{b}"] = 1
+    return out

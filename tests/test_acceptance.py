@@ -21,7 +21,7 @@ import pytest
 
 from widestpair.bench import RunConfig, run_benchmark
 from widestpair.cli import main
-from widestpair.exact import build_ilp, optimal_pair_bruteforce, pair_to_assignment
+from widestpair.exact import build_ilp, optimal_pair_bruteforce
 from widestpair.graph import (
     Graph,
     PathPair,
@@ -34,7 +34,7 @@ from widestpair.sample import FIVE_NODE_TEXT, five_node_network
 from widestpair.widest import max_bandwidth_tree
 
 from .conftest import TRAP_LINKS, make_graph, suite_graphs, widest_by_enum
-from .helpers import mlbdp_single, virtual_link_count
+from .helpers import group_counts, mlbdp_single, pair_to_assignment, violations, virtual_link_count
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -282,7 +282,7 @@ def test_c7_ilp_structure_and_evaluator():
     triangle = make_graph(3, [(0, 1, 5), (0, 2, 3), (1, 2, 4)])
     model = build_ilp(triangle, 0, 1)
     var_count = len(model.binaries) + len(model.continuous)
-    counts = model.group_counts()
+    counts = group_counts(model)
     counts_ok = var_count == 14 and counts == {
         "red_flow": 3,
         "blue_flow": 3,
@@ -295,12 +295,12 @@ def test_c7_ilp_structure_and_evaluator():
     }
     five = five_node_network()
     pair = PathPair((0, 2, 4, 3), (0, 1, 3), 12, 7)
-    violations = build_ilp(five, 0, 3).violations(pair_to_assignment(pair))
-    ok = counts_ok and violations == []
+    broken = violations(build_ilp(five, 0, 3), pair_to_assignment(pair))
+    ok = counts_ok and broken == []
     report(7, ok, f"triangle model has 14 variables and the stated row counts; "
                   f"known optimal pair satisfies every row with yr=12 yb=7")
     assert counts_ok
-    assert violations == []
+    assert broken == []
 
 
 # --- criterion 8: determinism ------------------------------------------------

@@ -10,12 +10,12 @@ from widestpair.exact import (
     enumerate_simple_paths,
     export_ilp,
     optimal_pair_bruteforce,
-    pair_to_assignment,
     render_lp,
 )
 from widestpair.graph import Graph, PathPair, validate_pair
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
+from .helpers import group_counts, pair_to_assignment, violations
 
 
 class TestDelta:
@@ -131,7 +131,7 @@ class TestIlpModel:
     def test_triangle_constraint_counts(self, triangle):
         model = build_ilp(triangle, 0, 1)
         n, m = 3, 3
-        assert model.group_counts() == {
+        assert group_counts(model) == {
             "red_flow": n,
             "blue_flow": n,
             "enter_dest": 1,
@@ -145,7 +145,7 @@ class TestIlpModel:
     def test_counts_on_random_graphs(self):
         for g in suite_graphs(5, seed=44):
             model = build_ilp(g, 0, 1)
-            counts = model.group_counts()
+            counts = group_counts(model)
             assert counts["red_flow"] == counts["blue_flow"] == g.n
             assert counts["node_once"] == g.n - 2
             assert counts["red_bw"] == counts["blue_bw"] == counts["link_once"] == g.m
@@ -157,7 +157,7 @@ class TestIlpModel:
     def test_known_pair_satisfies_model(self, five_node):
         model = build_ilp(five_node, 0, 3)
         pair = PathPair((0, 2, 4, 3), (0, 1, 3), 12, 7)
-        assert model.violations(pair_to_assignment(pair)) == []
+        assert violations(model, pair_to_assignment(pair)) == []
 
     def test_oracle_pairs_satisfy_model(self):
         for g in suite_graphs(12, seed=45):
@@ -166,20 +166,20 @@ class TestIlpModel:
                 if res is None:
                     continue
                 model = build_ilp(g, 0, t)
-                assert model.violations(pair_to_assignment(res[0])) == []
+                assert violations(model, pair_to_assignment(res[0])) == []
 
     def test_inflated_bandwidth_violates(self, five_node):
         model = build_ilp(five_node, 0, 3)
         assignment = pair_to_assignment(PathPair((0, 2, 4, 3), (0, 1, 3), 12, 7))
         assignment["yr"] = 13
-        bad = model.violations(assignment)
+        bad = violations(model, assignment)
         assert any(name.startswith("red_bw") for name in bad)
 
     def test_overlapping_paths_violate(self, five_node):
         # both colors entering node 4 breaks the exclusive-use row
         bad_pair = PathPair((0, 2, 4, 3), (0, 4, 3), 12, 2)
         model = build_ilp(five_node, 0, 3)
-        bad = model.violations(pair_to_assignment(bad_pair))
+        bad = violations(model, pair_to_assignment(bad_pair))
         assert any(name.startswith("node_once") for name in bad)
 
     def test_two_node_model_infeasible(self):
@@ -190,7 +190,7 @@ class TestIlpModel:
         for bits in itertools.product((0, 1), repeat=4):
             assignment = dict(zip(names, bits))
             assignment.update(yr=0, yb=0)
-            assert model.violations(assignment)
+            assert violations(model, assignment)
 
     @staticmethod
     def _model_optimum(g, s, t):
@@ -212,7 +212,7 @@ class TestIlpModel:
             assignment = {"yr": 0, "yb": 0}
             for chosen in combo:
                 assignment.update(chosen)
-            if model.violations(assignment):
+            if violations(model, assignment):
                 continue
             yr = min(
                 (bw for u, v, bw in links
@@ -225,7 +225,7 @@ class TestIlpModel:
                 default=0,
             )
             assignment.update(yr=yr, yb=yb)
-            assert not model.violations(assignment)
+            assert not violations(model, assignment)
             if best is None or yr + yb > best:
                 best = yr + yb
         return best

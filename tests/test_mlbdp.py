@@ -16,7 +16,6 @@ from widestpair.mlbdp import (
     _BlockSearch,
     _block_graph,
     _initialize,
-    _limit_sweep,
     mlbdp_full,
     reconstruct_pair,
     run_limit_search,
@@ -25,7 +24,7 @@ from widestpair.mlbdp import (
 from widestpair.widest import max_bandwidth_tree
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
-from .helpers import max_min_bounds_reference, mlbdp_single, source_blocks, virtual_link_count
+from .helpers import limit_sweep, max_min_bounds_reference, mlbdp_single, source_blocks, virtual_link_count
 
 
 class TestUniqueBandwidths:
@@ -241,7 +240,7 @@ class TestBlockSweep:
     def test_matches_whole_graph_sweep(self):
         for g in [*HAND_GRAPHS, *suite_graphs(60, seed=562)]:
             for s in range(g.n):
-                assert _fields(_limit_sweep(g, s)) == _fields(_reference_sweep(g, s))
+                assert _fields(limit_sweep(g, s)) == _fields(_reference_sweep(g, s))
 
     def test_skipped_limits_are_mapped(self):
         g = HAND_GRAPHS[3]
@@ -277,9 +276,9 @@ class TestBlockSweep:
                         big(r.pair.blue_bw),
                         big(r.pair.red_bw) + big(r.pair.blue_bw),
                     )
-                    for d, r in _limit_sweep(g, s).items()
+                    for d, r in limit_sweep(g, s).items()
                 }
-                assert _fields(_limit_sweep(h, s)) == want
+                assert _fields(limit_sweep(h, s)) == want
 
 
 # the sweep keeps 27 for 3 -> 0: at limit 8 the vnode (1, 0) state that
@@ -301,7 +300,7 @@ def _pairs_by_enum(g, s, d):
 class TestCertified:
     def test_witness(self):
         g = make_graph(4, WITNESS)
-        assert _limit_sweep(g, 3)[0].combined == 27
+        assert limit_sweep(g, 3)[0].combined == 27
         res = mlbdp_full(g, 3)[0]
         assert (res.pair.red, res.pair.blue) == ((3, 1, 2, 0), (3, 0))
         assert res.combined == res.upper_bound == 42
@@ -318,7 +317,7 @@ class TestCertified:
         for g in [*HAND_GRAPHS, *suite_graphs(60, seed=565)]:
             for s in range(g.n):
                 full = mlbdp_full(g, s)
-                for d, res in _limit_sweep(g, s).items():
+                for d, res in limit_sweep(g, s).items():
                     assert full[d].combined >= res.combined
 
     @pytest.mark.parametrize("budget", [0, 3])
@@ -327,7 +326,7 @@ class TestCertified:
         for g in [*HAND_GRAPHS, *suite_graphs(60, seed=565)]:
             for s in range(g.n):
                 full = mlbdp_full(g, s)
-                for d, res in _limit_sweep(g, s).items():
+                for d, res in limit_sweep(g, s).items():
                     assert full[d].combined >= res.combined
 
     def test_second_search_after_first_search_raised_incumbent(self):
@@ -355,6 +354,32 @@ class TestCertified:
         assert len(runs) <= 200
         # source 42 leaves destinations open after the search, and sweeps
         assert runs.count(42) == 29
+
+    @pytest.mark.parametrize("budget", [0, 3, 2000])
+    def test_one_destination_matches_all(self, budget, monkeypatch):
+        monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", budget)
+        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=574)]:
+            for s in range(g.n):
+                full = mlbdp_full(g, s)
+                for d in range(g.n):
+                    if d != s:
+                        assert mlbdp_full(g, s, [d]) == ({d: full[d]} if d in full else {})
+
+    def test_one_destination_skips_other_blocks(self, monkeypatch):
+        runs = []
+
+        def counted(block, s, limit):
+            runs.append(frozenset(x for u, v, _ in block.links() for x in (u, v)))
+            return run_limit_search(block, s, limit)
+
+        monkeypatch.setattr(mlbdp, "run_limit_search", counted)
+        # source 0 is the cut vertex between the triangles 0-1-2 and 0-3-4
+        g = make_graph(5, BOWTIE)
+        mlbdp_full(g, 0)
+        assert runs.count({0, 1, 2}) >= 1 and runs.count({0, 3, 4}) >= 1
+        runs.clear()
+        assert set(mlbdp_full(g, 0, [1])) == {1}
+        assert runs.count({0, 1, 2}) >= 1 and runs.count({0, 3, 4}) == 0
 
     def test_matches_oracle(self):
         # the acceptance suite's differential check uses seed 999

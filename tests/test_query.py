@@ -1,8 +1,9 @@
 """One endpoint contract for every query: graph.check_query.
 
-Every solver, the path enumeration, the ILP builder, the CLI commands and
-the two functions that read a path off a search result reject a bad
-(source, destination) query with the same three messages.
+Every solver, the path enumeration, the ILP builder, the CLI commands,
+the two functions that read a path off a search result and mlbdp_full's
+dests reject a bad (source, destination) query with the same three
+messages; so does the tests' reference sweep.
 """
 
 import pytest
@@ -11,9 +12,11 @@ from widestpair.cli import main
 from widestpair.exact import build_ilp, enumerate_simple_paths, optimal_pair_bruteforce
 from widestpair.graph import check_query
 from widestpair.mba import mba_pair
-from widestpair.mlbdp import _limit_sweep, mlbdp_full, reconstruct_pair, run_limit_search
+from widestpair.mlbdp import mlbdp_full, reconstruct_pair, run_limit_search
 from widestpair.sample import FIVE_NODE_TEXT, five_node_network
 from widestpair.widest import extract_widest_path, max_bandwidth_tree
+
+from .helpers import limit_sweep
 
 SOURCE_ERRORS = [
     (5, "source 5 out of range 0..4"),
@@ -42,7 +45,7 @@ DEST_ERRORS = [
 SOURCE_ONLY = {
     "check_query": check_query,
     "mlbdp_full": mlbdp_full,
-    "_limit_sweep": _limit_sweep,
+    "limit_sweep": limit_sweep,
     "max_bandwidth_tree": max_bandwidth_tree,
     "run_limit_search": lambda g, s: run_limit_search(g, s, 1),
 }
@@ -56,6 +59,7 @@ PAIR = {
 FROM_RESULT = {
     "reconstruct_pair": lambda g, t: reconstruct_pair(run_limit_search(g, 0, 1), t),
     "extract_widest_path": lambda g, t: extract_widest_path(max_bandwidth_tree(g, 0), t),
+    "mlbdp_full": lambda g, t: mlbdp_full(g, 0, [t]),
 }
 COMMANDS = {
     "solve-mlbdp": ["solve", "--algo", "mlbdp"],
