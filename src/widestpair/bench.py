@@ -1,12 +1,12 @@
 """Benchmark harness: all ordered pairs, bandwidth sweeps, CSV reports.
 
 Every algorithm is one entry of SOLVERS: fn(g, s, dests) answers only
-the destinations in dests, and returns {d: (pair, upper_bound)} for those
-that have a pair.
-upper_bound is mlbdp_full's certificate, the combined bandwidth itself
-for the oracle, and None for MBA, which proves nothing. The oracle
-stops at exact.PATH_CAP simple paths per query. The CLI answers one
-query with one call; the benchmark times one call per source.
+the destinations in dests, and returns {d: graph.DisjointResult} for
+those that have a pair. upper_bound is mlbdp_full's certificate, the
+combined bandwidth itself for the oracle, and None for MBA, which proves
+nothing. The oracle stops at exact.PATH_CAP simple paths per query. The
+CLI answers one query with one call; the benchmark times one call per
+source.
 
 For each maximum-bandwidth value in the sweep, link capacities are
 redrawn with the configured seed and every selected algorithm runs over
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exact import optimal_pair_bruteforce
-from .graph import _QUOTE_CHARS, Graph, PathPair, _quote, _quote_int, assign_random_bandwidths
+from .graph import _QUOTE_CHARS, DisjointResult, Graph, _quote, _quote_int, assign_random_bandwidths
 from .mba import mba_pair
 from .mlbdp import mlbdp_full
 
@@ -37,14 +37,14 @@ CSV_COLUMNS = ("max_bw", "algo", "pairs_found", "wall_time_ms", "diff_total", "d
 PLOT_METRICS = ("pairs_found", "wall_time_ms", "diff_total", "diff_avg")
 
 
-Answers = dict[int, tuple[PathPair, int | None]]  # dest -> (pair, upper bound)
+Answers = dict[int, DisjointResult]
 
 
 # The solvers look mlbdp_full, mba_pair and optimal_pair_bruteforce up
 # as module globals at call time, so rebinding them here (as a tracer
 # does) reaches every caller of the table.
 def _mlbdp(g: Graph, s: int, dests: Iterable[int]) -> Answers:
-    return {d: (r.pair, r.upper_bound) for d, r in mlbdp_full(g, s, dests).items()}
+    return mlbdp_full(g, s, dests)
 
 
 def _mba(g: Graph, s: int, dests: Iterable[int]) -> Answers:
@@ -52,7 +52,7 @@ def _mba(g: Graph, s: int, dests: Iterable[int]) -> Answers:
     for d in dests:
         pair = mba_pair(g, s, d)
         if pair is not None:
-            out[d] = (pair, None)
+            out[d] = DisjointResult(pair, None)
     return out
 
 

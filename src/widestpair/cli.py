@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +24,6 @@ from .graph import (
     TopologyError,
     _quote,
     assign_random_bandwidths,
-    check_query,
     generate_random_graph,
     parse_topology,
     serialize_topology,
@@ -54,7 +54,6 @@ def _print_pair(pair, s: int, t: int) -> None:
 def _cmd_solve(args) -> int:
     g = _load(args.topology)
     s, t = args.source, args.dest
-    check_query(g, s, t)
     pair, upper_bound = SOLVERS[args.algo](g, s, (t,)).get(t, (None, None))
     _print_pair(pair, s, t)
     if upper_bound is not None and upper_bound != pair.combined:
@@ -131,7 +130,9 @@ def _cmd_export_ilp(args) -> int:
     g = _load(args.topology)
     text = export_ilp(g, args.source, args.dest)
     out = Path(args.out)
-    if out.is_dir():
+    # Path drops a trailing separator, so it is read off the text
+    if args.out.endswith((os.sep, "/")) or out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
         out = out / f"{Path(args.topology).stem}_{args.source}_{args.dest}.lp"
     out.write_text(text)
     print(f"wrote {out}")
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True)
     p.add_argument("--source", type=_int_arg, required=True)
     p.add_argument("--dest", type=_int_arg, required=True)
-    p.add_argument("--out", required=True, help="output file, or directory for <topology>_<s>_<t>.lp")
+    p.add_argument("--out", required=True, help="output file, or directory (existing, or ending in a separator) for <topology>_<s>_<t>.lp")
     p.set_defaults(func=_cmd_export_ilp)
 
     return parser

@@ -2,16 +2,17 @@
 
 The brute-force search enumerates every simple path and scans disjoint
 pairings, so it is exact but only usable at desk scale: a query with more
-than PATH_CAP simple paths raises EnumerationCapError. The ILP builder
-emits the equivalent mixed-integer model in LP text format for external
-solvers.
+than PATH_CAP simple paths raises EnumerationCapError. Its answer is a
+graph.DisjointResult whose upper_bound is its own combined bandwidth. The
+ILP builder emits the equivalent mixed-integer model in LP text format
+for external solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, PathPair, bottleneck, check_query
+from .graph import DisjointResult, Graph, PathPair, bottleneck, check_endpoints
 
 # simple paths one query may enumerate; read at call time
 PATH_CAP = 100_000
@@ -37,7 +38,7 @@ def enumerate_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
     Raises EnumerationCapError when more than PATH_CAP paths exist, which
     signals the instance is too large for brute force.
     """
-    check_query(g, s, t)
+    check_endpoints(g.n, s, t)
     cap = PATH_CAP
     adj = g.adjacency()
     out: list[tuple[int, ...]] = []
@@ -63,10 +64,10 @@ def enumerate_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def optimal_pair_bruteforce(g: Graph, s: int, t: int) -> tuple[PathPair, int] | None:
+def optimal_pair_bruteforce(g: Graph, s: int, t: int) -> DisjointResult | None:
     """Exact optimum over internally node-disjoint s-t path pairs.
 
-    Returns (pair, combined bottleneck sum) or None when no pair exists.
+    Returns DisjointResult(pair, combined) or None when no pair exists.
     Ties resolve to the larger minimum bottleneck, then to the
     lexicographically smallest node sequences, so output is
     deterministic.
@@ -103,7 +104,7 @@ def optimal_pair_bruteforce(g: Graph, s: int, t: int) -> tuple[PathPair, int] | 
     if best is None:
         return None
     pair = PathPair(best[2], best[3], bottleneck(g, best[2]), bottleneck(g, best[3]))
-    return pair, best[0]
+    return DisjointResult(pair, best[0])
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,6 @@ class LinearConstraint:
     """One linear row: sum of coeff * var compared against rhs."""
 
     name: str
-    group: str
     coeffs: tuple[tuple[str, int], ...]
     sense: str  # "=" or "<="
     rhs: int
@@ -142,9 +142,10 @@ def build_ilp(g: Graph, s: int, t: int) -> IlpModel:
     node; the destination receives exactly two incoming colored arcs and
     the source none; every other node receives at most one; per link, one
     bottleneck row per color covering both arc directions; per link, at
-    most one colored arc in total.
+    most one colored arc in total. A row's name is its group followed by
+    the node or link ids it covers (red_flow_3, link_once_0_2).
     """
-    check_query(g, s, t)
+    check_endpoints(g.n, s, t)
     links = g.links()
     if not links:
         raise ValueError("graph has no links")
@@ -157,25 +158,25 @@ def build_ilp(g: Graph, s: int, t: int) -> IlpModel:
         for x in range(g.n):
             coeffs = [(f"{color}_{x}_{v}", 1) for v in g.neighbors(x)]
             coeffs += [(f"{color}_{v}_{x}", -1) for v in g.neighbors(x)]
-            cons.append(LinearConstraint(f"{label}_{x}", label, tuple(coeffs), "=", delta(x, s, t)))
+            cons.append(LinearConstraint(f"{label}_{x}", tuple(coeffs), "=", delta(x, s, t)))
     in_t = [(f"r_{v}_{t}", 1) for v in g.neighbors(t)] + [(f"b_{v}_{t}", 1) for v in g.neighbors(t)]
-    cons.append(LinearConstraint("enter_dest", "enter_dest", tuple(in_t), "=", 2))
+    cons.append(LinearConstraint("enter_dest", tuple(in_t), "=", 2))
     in_s = [(f"r_{v}_{s}", 1) for v in g.neighbors(s)] + [(f"b_{v}_{s}", 1) for v in g.neighbors(s)]
-    cons.append(LinearConstraint("enter_source", "enter_source", tuple(in_s), "=", 0))
+    cons.append(LinearConstraint("enter_source", tuple(in_s), "=", 0))
     for x in range(g.n):
         if x in (s, t):
             continue
         coeffs = [(f"r_{v}_{x}", 1) for v in g.neighbors(x)]
         coeffs += [(f"b_{v}_{x}", 1) for v in g.neighbors(x)]
-        cons.append(LinearConstraint(f"node_once_{x}", "node_once", tuple(coeffs), "<=", 1))
+        cons.append(LinearConstraint(f"node_once_{x}", tuple(coeffs), "<=", 1))
     for color, label, y in (("r", "red_bw", "yr"), ("b", "blue_bw", "yb")):
         for u, v, bw in links:
             slack = big_m - bw
             coeffs = ((y, 1), (f"{color}_{u}_{v}", slack), (f"{color}_{v}_{u}", slack))
-            cons.append(LinearConstraint(f"{label}_{u}_{v}", label, coeffs, "<=", big_m))
+            cons.append(LinearConstraint(f"{label}_{u}_{v}", coeffs, "<=", big_m))
     for u, v, _ in links:
         coeffs = tuple((f"{c}_{a}_{b}", 1) for c in "rb" for a, b in ((u, v), (v, u)))
-        cons.append(LinearConstraint(f"link_once_{u}_{v}", "link_once", coeffs, "<=", 1))
+        cons.append(LinearConstraint(f"link_once_{u}_{v}", coeffs, "<=", 1))
     return IlpModel(s, t, big_m, tuple(binaries), ("yr", "yb"), tuple(cons))
 
 

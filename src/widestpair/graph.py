@@ -2,14 +2,16 @@
 
 Networks are simple undirected graphs whose links carry positive integer
 bandwidths. Paths are plain tuples of node ids; a pair of paths sharing
-exactly its endpoints is a :class:`PathPair`.
+exactly its endpoints is a :class:`PathPair`, and every solver answers a
+query with a :class:`DisjointResult`: the pair and what the solver proves
+about it. check_endpoints is the one check of a query's endpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -106,11 +108,6 @@ class Graph:
             self._top = (top, sum(list(d.values()).count(top) for d in self._adj) // 2)
         return self._top
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self._adj == other._adj
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
 
@@ -129,13 +126,29 @@ class PathPair:
         return self.red_bw + self.blue_bw
 
 
-def check_query(g: Graph, s: int, t: int | None = None) -> None:
-    """Raise ValueError unless s, and t when given, are distinct node ids of g."""
-    check_endpoints(g.n, s, t)
+class DisjointResult(NamedTuple):
+    """One solver's answer for one destination: the best pair it found and
+    what it proves about that pair. combined is pair.combined.
+
+    upper_bound is a proven bound on the combined bandwidth of every pair
+    to that destination: mlbdp_full's certificate, which equals combined
+    when the pair is proven optimal and is larger only when its exact
+    search ran out of budget, or combined itself for the exhaustive
+    oracle. None means the solver proves nothing, as for MBA. As a tuple
+    the answer unpacks as (pair, upper_bound).
+    """
+
+    pair: PathPair
+    upper_bound: int | None
+
+    @property
+    def combined(self) -> int:
+        return self.pair.combined
 
 
 def check_endpoints(n: int, s: int, t: int | None = None) -> None:
-    """check_query over a node count, for results that outlive their graph."""
+    """Raise ValueError unless s, and t when given, are distinct node ids
+    below n, the node count of a graph or of a result that outlives it."""
     if not 0 <= s < n:
         raise ValueError(f"source {_quote_int(s)} out of range 0..{n - 1}")
     if t is None:

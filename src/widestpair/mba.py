@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 
-from .graph import Graph, PathPair, bottleneck, check_query
+from .graph import Graph, PathPair, bottleneck, check_endpoints
 from .widest import Adjacency, widest_tree, without_link
 
 
@@ -92,7 +92,7 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     bandwidth top, unless round two has lost every link of bandwidth
     top; it then scans what is left for its C.
     """
-    check_query(g, s, t)
+    check_endpoints(g.n, s, t)
     adj = g.adjacency()
     top, count = g.top_links()
     first = _round_path(adj, s, t, set(), top + 1)

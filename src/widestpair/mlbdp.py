@@ -25,9 +25,9 @@ every M_d. One limit run at the lowest limit supplies the first answers;
 an exact depth-first search over the wider path closes the gap wherever
 that answer is below the bound, within a budget of search steps. Only
 the destinations that search leaves open get the rest of the sweep, and
-then a second search. Each answer is a DisjointResult: the pair and its
-proven upper bound; it is optimal when its combined bandwidth equals
-that bound.
+then a second search. Each answer is a graph.DisjointResult: the pair
+and its proven upper bound; it is optimal when its combined bandwidth
+equals that bound.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections.abc import Container, Iterable
-from dataclasses import dataclass
 
-from .graph import Graph, PathPair, bottleneck, check_endpoints, check_query
+from .graph import DisjointResult, Graph, PathPair, bottleneck, check_endpoints
 from .widest import Adjacency, WidestTree, extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
 # steps of one exact search (at most two per destination); one step is one
@@ -68,26 +67,6 @@ class VNodeTable:
         self.visited = [0] * size
         self.permanent = bytearray(size)
         self.settled: list[int] = []
-
-
-@dataclass(frozen=True)
-class DisjointResult:
-    """The answer for one destination, stored under that destination:
-    the best pair found and its certificate. combined is pair.combined.
-
-    upper_bound is a proven bound on the combined bandwidth of every pair
-    to that destination. It equals combined when the pair is proven
-    optimal, and it is larger only when the exact search ran out of
-    budget. It is None on a result built from a pair alone, which
-    certifies nothing.
-    """
-
-    pair: PathPair
-    upper_bound: int | None = None
-
-    @property
-    def combined(self) -> int:
-        return self.pair.combined
 
 
 def unique_bandwidths(g: Graph) -> list[int]:
@@ -145,7 +124,7 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     once it is permanent, so an entry is stale exactly when it differs
     from key_of and a relaxation wins exactly when its key is smaller.
     """
-    check_query(g, s)
+    check_endpoints(g.n, s)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     n = g.n
@@ -372,7 +351,7 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
     gets no search and no sweep run of its own. A bad destination raises
     ValueError before any search.
     """
-    check_query(g, s)
+    check_endpoints(g.n, s)
     if dests is None:
         wanted: Container[int] = range(g.n)
     else:

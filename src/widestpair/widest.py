@@ -8,7 +8,7 @@ widest_tree is the package's one widest-path search. It serves the W
 bound of mlbdp_full (through max_bandwidth_tree), the partner path of the
 exact pair search and both rounds of the MBA baseline; the last two close
 nodes, stop at their destination and may drop the direct link
-(without_link).
+(without_link). Its WidestTree holds only what those callers read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, check_endpoints, check_query
+from .graph import Graph, check_endpoints
 
 Adjacency = list[list[tuple[int, int]]]
 
@@ -30,13 +30,13 @@ class WidestTree:
     to v; 0 means unreachable (the source itself also stores 0 and is
     treated as unbounded during relaxation). previous[v] is the
     predecessor on a widest path, None at the source. settled lists
-    nodes in the order they became permanent, source first.
+    nodes in the order they became permanent, source first; closed
+    nodes are never in it.
     """
 
     source: int
     maxbw: list[int]
     previous: list[int | None]
-    permanent: list[bool]
     settled: list[int]
 
 
@@ -89,12 +89,12 @@ def widest_tree(adj: Adjacency, s: int, closed: Iterable[int] = (), stop: int = 
                 maxbw[v] = w
                 previous[v] = x
                 push(heap, v - w * n)
-    return WidestTree(s, maxbw, previous, permanent, settled)
+    return WidestTree(s, maxbw, previous, settled)
 
 
 def max_bandwidth_tree(g: Graph, s: int) -> WidestTree:
     """Compute per-node maximum bottleneck bandwidth from s (see widest_tree)."""
-    check_query(g, s)
+    check_endpoints(g.n, s)
     return widest_tree(g.adjacency(), s)
 
 
@@ -110,7 +110,7 @@ def extract_widest_path(tree: WidestTree, dest: int) -> tuple[int, ...] | None:
     """Predecessor walk from dest back to the source.
 
     Returns None when dest is unreachable. Raises ValueError, as
-    check_query does, when dest is not a node or is the source itself.
+    check_endpoints does, when dest is not a node or is the source itself.
     """
     check_endpoints(len(tree.maxbw), tree.source, dest)
     if tree.maxbw[dest] == 0:

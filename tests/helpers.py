@@ -11,18 +11,21 @@ threshold by threshold. widest_tree_reference is the widest search with
 (-width, node) tuple heap keys, the reference for widest_tree's
 extraction order. evaluate, satisfied, group_counts, violations and
 pair_to_assignment walk concrete assignments through the rows of an
-exact.IlpModel.
+exact.IlpModel; group_counts reads a row's group off its name.
+
+mlbdp_single and limit_sweep answer with graph.DisjointResult like every
+solver, with upper_bound None: neither proves its pairs optimal.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from collections.abc import Mapping
 
 from widestpair.exact import IlpModel, LinearConstraint
-from widestpair.graph import Graph, PathPair
+from widestpair.graph import DisjointResult, Graph, PathPair
 from widestpair.mlbdp import (
-    DisjointResult,
     _block_graph,
     _blocks_and_bounds,
     _keep_improved,
@@ -55,7 +58,7 @@ def mlbdp_single(g: Graph, s: int, limit: int) -> dict[int, DisjointResult]:
     """
     best: dict[int, PathPair] = {}
     _keep_improved(run_limit_search(g, s, limit), [d for d in range(g.n) if d != s], best)
-    return {d: DisjointResult(pair) for d, pair in best.items()}
+    return {d: DisjointResult(pair, None) for d, pair in best.items()}
 
 
 def limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
@@ -79,7 +82,7 @@ def limit_sweep(g: Graph, s: int) -> dict[int, DisjointResult]:
         block = _block_graph(g.n, links)
         for limit in unique_bandwidths(block):
             _keep_improved(run_limit_search(block, s, limit), sorted(max_min), best)
-    return {d: DisjointResult(best[d]) for d in sorted(best)}
+    return {d: DisjointResult(best[d], None) for d in sorted(best)}
 
 
 def source_blocks(adj: list[list[tuple[int, int]]], s: int) -> list[list[tuple[int, int, int]]]:
@@ -202,7 +205,7 @@ def widest_tree_reference(adj: list[list[tuple[int, int]]], s: int, closed=(), s
                 maxbw[v] = w
                 previous[v] = x
                 heapq.heappush(heap, (-w, v))
-    return WidestTree(s, maxbw, previous, permanent, settled)
+    return WidestTree(s, maxbw, previous, settled)
 
 
 def evaluate(row: LinearConstraint, assignment: Mapping[str, int]) -> int:
@@ -216,10 +219,12 @@ def satisfied(row: LinearConstraint, assignment: Mapping[str, int]) -> bool:
 
 
 def group_counts(model: IlpModel) -> dict[str, int]:
-    """Number of rows per constraint group."""
+    """Number of rows per constraint group: a row's name less its
+    trailing _<int> parts (red_flow_3 is in red_flow)."""
     counts: dict[str, int] = {}
     for c in model.constraints:
-        counts[c.group] = counts.get(c.group, 0) + 1
+        group = re.sub(r"(_\d+)+$", "", c.name)
+        counts[group] = counts.get(group, 0) + 1
     return counts
 
 

@@ -10,8 +10,10 @@ from widestpair.bench import (
     write_report_csv,
 )
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import PathPair, generate_random_graph, parse_topology
+from widestpair.graph import DisjointResult, PathPair, generate_random_graph, parse_topology
 from widestpair.mba import mba_pair
+
+from .conftest import suite_graphs
 
 
 def strip_wall_times(csv_text: str) -> str:
@@ -188,6 +190,30 @@ class TestSolverTable:
         report = run_benchmark(RunConfig(graph=five_node, label="five", sweep=None, algos=(algo,)))
         assert len(seen) == calls
         assert report.rows[0].algos[0].pairs_found == 20
+
+    def test_every_solver_answers_with_disjoint_results(self, five_node):
+        for g in [five_node, *suite_graphs(4, seed=41, n_hi=8)]:
+            for s in range(g.n):
+                dests = [d for d in range(g.n) if d != s]
+                answers = {algo: solve(g, s, dests) for algo, solve in bench.SOLVERS.items()}
+                for algo, res in answers.items():
+                    assert set(res) <= set(dests), algo
+                    assert all(type(r) is DisjointResult for r in res.values()), algo
+                assert all(r.upper_bound is None for r in answers["mba"].values())
+                assert all(r.upper_bound == r.combined for r in answers["oracle"].values())
+                assert set(answers["mlbdp"]) == set(answers["oracle"])
+                for d, r in answers["mlbdp"].items():
+                    assert r.upper_bound is not None
+                    assert r.combined <= answers["oracle"][d].combined <= r.upper_bound
+
+    def test_oracle_unpacks_as_pair_and_optimum(self, five_node):
+        # perfbench reads the oracle's answer as (pair, combined) and as res[1]
+        for s in range(five_node.n):
+            for d in range(five_node.n):
+                if d != s:
+                    res = optimal_pair_bruteforce(five_node, s, d)
+                    pair, best = res
+                    assert best == res[1] == pair.combined == res.upper_bound
 
     def test_unproven_counted_per_algorithm(self, monkeypatch):
         # without search steps mlbdp leaves 3 -> 0 at 27 below its bound 42

@@ -196,6 +196,15 @@ class TestExportIlp:
         assert rc == 0
         assert (tmp_path / "five_0_3.lp").exists()
 
+    @pytest.mark.parametrize("out", ["missing/", "deep/er/"])
+    def test_trailing_separator_is_a_new_directory(self, out, topo_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["export-ilp", "--topology", topo_file, "--source", "0", "--dest", "3", "--out", out])
+        assert rc == 0
+        model = Path(out) / "five_0_3.lp"
+        assert model.read_text().startswith("\\ node-disjoint pair model")
+        assert capsys.readouterr().out == f"wrote {model}\n"
+
 
 class TestBenchCommand:
     def test_stdout_csv(self, topo_file, capsys):

@@ -19,6 +19,11 @@ from .conftest import suite_graphs
 from .helpers import connected
 
 
+def _shape(g: Graph) -> tuple[int, list[tuple[int, int, int]]]:
+    """What makes two graphs equal: the node count and every (u, v, bw) link."""
+    return g.n, g.links()
+
+
 class TestParse:
     def test_smallest_valid(self):
         g = parse_topology("nodes 2\nlink 0 1 5")
@@ -142,11 +147,11 @@ class TestParse:
 
     def test_roundtrip_fixture(self):
         g = parse_topology(FIVE_NODE_TEXT)
-        assert parse_topology(serialize_topology(g)) == g
+        assert _shape(parse_topology(serialize_topology(g))) == _shape(g)
 
     def test_roundtrip_random(self):
         for g in suite_graphs(10):
-            assert parse_topology(serialize_topology(g)) == g
+            assert _shape(parse_topology(serialize_topology(g))) == _shape(g)
 
 
 class TestGraphInvariants:
@@ -226,12 +231,12 @@ class TestAssignBandwidths:
     def test_deterministic(self, five_node):
         a = assign_random_bandwidths(five_node, 5000, seed=42)
         b = assign_random_bandwidths(five_node, 5000, seed=42)
-        assert a == b
+        assert _shape(a) == _shape(b)
 
     def test_seed_changes_assignment(self, five_node):
         a = assign_random_bandwidths(five_node, 5000, seed=1)
         b = assign_random_bandwidths(five_node, 5000, seed=2)
-        assert a != b
+        assert _shape(a) != _shape(b)
 
     def test_topology_preserved(self, five_node):
         g = assign_random_bandwidths(five_node, 9, seed=3)
@@ -273,7 +278,7 @@ class TestGenerate:
         assert g.n == 10 and g.m == 20 and connected(g)
 
     def test_deterministic(self):
-        assert generate_random_graph(10, 20, seed=7) == generate_random_graph(10, 20, seed=7)
+        assert _shape(generate_random_graph(10, 20, seed=7)) == _shape(generate_random_graph(10, 20, seed=7))
 
     def test_always_connected(self):
         for k in range(50):

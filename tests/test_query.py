@@ -1,16 +1,18 @@
-"""One endpoint contract for every query: graph.check_query.
+"""One endpoint contract for every query: graph.check_endpoints.
 
 Every solver, the path enumeration, the ILP builder, the CLI commands,
 the two functions that read a path off a search result and mlbdp_full's
 dests reject a bad (source, destination) query with the same three
-messages; so does the tests' reference sweep.
+messages; so does the tests' reference sweep. Each of them calls
+check_endpoints with its graph's node count; the CLI has no check of its
+own, so its messages are the solvers'.
 """
 
 import pytest
 
 from widestpair.cli import main
 from widestpair.exact import build_ilp, enumerate_simple_paths, optimal_pair_bruteforce
-from widestpair.graph import check_query
+from widestpair.graph import check_endpoints
 from widestpair.mba import mba_pair
 from widestpair.mlbdp import mlbdp_full, reconstruct_pair, run_limit_search
 from widestpair.sample import FIVE_NODE_TEXT, five_node_network
@@ -42,15 +44,17 @@ DEST_ERRORS = [
     (0, "source and destination must differ"),
 ]
 
+# "check_query" is the bare check, graph.check_endpoints over the graph's
+# node count; the key keeps its earlier name so the test ids stay stable
 SOURCE_ONLY = {
-    "check_query": check_query,
+    "check_query": lambda g, s: check_endpoints(g.n, s),
     "mlbdp_full": mlbdp_full,
     "limit_sweep": limit_sweep,
     "max_bandwidth_tree": max_bandwidth_tree,
     "run_limit_search": lambda g, s: run_limit_search(g, s, 1),
 }
 PAIR = {
-    "check_query": check_query,
+    "check_query": lambda g, s, t: check_endpoints(g.n, s, t),
     "mba_pair": mba_pair,
     "optimal_pair_bruteforce": optimal_pair_bruteforce,
     "enumerate_simple_paths": enumerate_simple_paths,

@@ -28,7 +28,7 @@ def test_unreachable_node():
     g.add_link(0, 1, 4)
     tree = max_bandwidth_tree(g, 0)
     assert tree.maxbw[2] == 0
-    assert not tree.permanent[2]
+    assert 2 not in tree.settled
     assert extract_widest_path(tree, 2) is None
 
 
@@ -64,7 +64,7 @@ def test_no_tentative_improvement_remains():
                     if b == s:
                         continue  # the source needs no incoming improvement
                     reach = bw if a == s else min(tree.maxbw[a], bw)
-                    assert reach <= tree.maxbw[b] or not (tree.permanent[a] or a == s)
+                    assert reach <= tree.maxbw[b] or a not in tree.settled
 
 
 def test_predecessor_chain_consistent():
