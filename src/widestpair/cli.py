@@ -98,6 +98,9 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         algos=tuple(args.algos.split(",")),
     )
+    if args.out is not None:
+        # a file in the way fails here, not after the benchmark
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_benchmark(cfg)
     unproven = sum(a.unproven for row in report.rows for a in row.algos)
     if unproven:
@@ -117,7 +120,14 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _names_dir(out: str) -> bool:
+    # Path drops a trailing separator, so it is read off the text
+    return out.endswith((os.sep, "/")) or Path(out).is_dir()
+
+
 def _cmd_gen(args) -> int:
+    if _names_dir(args.out):
+        raise ValueError(f"--out {_quote(args.out)} names a directory; gen writes one topology file")
     g = generate_random_graph(args.nodes, args.links, args.seed)
     if args.max_bw is not None:
         g = assign_random_bandwidths(g, args.max_bw, args.seed)
@@ -130,8 +140,7 @@ def _cmd_export_ilp(args) -> int:
     g = _load(args.topology)
     text = export_ilp(g, args.source, args.dest)
     out = Path(args.out)
-    # Path drops a trailing separator, so it is read off the text
-    if args.out.endswith((os.sep, "/")) or out.is_dir():
+    if _names_dir(args.out):
         out.mkdir(parents=True, exist_ok=True)
         out = out / f"{Path(args.topology).stem}_{args.source}_{args.dest}.lp"
     out.write_text(text)

@@ -21,13 +21,13 @@ at most M_d, the largest bandwidth t at which s and d still share a
 biconnected block among the links >= t; so W_d + M_d bounds every pair,
 and M_d > 0 exactly when a pair exists. One union-find pass over the
 fundamental cycles of s's widest tree gives the blocks that hold s and
-every M_d. One limit run at the lowest limit supplies the first answers;
-an exact depth-first search over the wider path closes the gap wherever
-that answer is below the bound, within a budget of search steps. Only
-the destinations that search leaves open get the rest of the sweep, and
-then a second search. Each answer is a graph.DisjointResult: the pair
-and its proven upper bound; it is optimal when its combined bandwidth
-equals that bound.
+every M_d. Each block sweeps its limits in ascending order, and d takes
+the runs up to M_d until it is proven. After its first run, and after
+any later one that lifts its answer, an exact depth-first search over
+the wider path tries to close the gap to the bound within a budget of
+search steps. Each answer is a graph.DisjointResult: the pair and its
+proven upper bound; it is optimal when its combined bandwidth equals
+that bound.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from collections.abc import Container, Iterable
 from .graph import DisjointResult, Graph, PathPair, bottleneck, check_endpoints
 from .widest import Adjacency, WidestTree, extract_widest_path, max_bandwidth_tree, widest_tree, without_link
 
-# steps of one exact search (at most two per destination); one step is one
-# candidate node for the wider path that the cheap filters let through
+# steps of one exact search; one step is one candidate node for the wider
+# path that the cheap filters let through
 FALLBACK_BUDGET = 2000
 
 
@@ -326,30 +326,29 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
     the source blocks and M_d from one pass over it, _blocks_and_bounds.
     Two disjoint s-d paths exist only when d shares a biconnected block
     with s, and every simple path between two nodes of a block stays in
-    it, so each block is searched alone, with the same node ids. Per
-    block that holds a wanted destination, for the wanted ones only:
+    it, so each block is searched alone, with the same node ids. Each
+    block that holds a wanted destination sweeps its limits in ascending
+    order, for the wanted destinations only:
 
-    - one limit run at the block's lowest bandwidth gives the first
-      answers;
-    - wherever that answer is below the bound, an exact depth-first
-      search looks for a better pair within FALLBACK_BUDGET steps. It
-      starts from that answer, or from the max-min pair (two disjoint
-      paths on the links >= M_d) when the run reached nothing or less
-      than 2 M_d. A search that finishes proves its pair optimal;
-    - only the destinations still unproven get the paper's limit sweep
-      over the remaining limits, up to the largest M_d among those still
-      unproven: the narrower path of any pair to d carries at most M_d,
-      so a higher limit cannot be the optimum's partner limit;
-    - a destination whose incumbent now beats the value its first search
-      started from gets a second search from that incumbent; from the
-      same start it would only repeat the first. An answer left unproven
-      keeps the incumbent and reports the bound W_d + M_d, never a guess.
+    - d takes part in the runs at limits up to M_d while it is unproven,
+      and the sweep stops when no such destination is left. This keeps
+      the sweep short; it is not a proof, since a run above M_d can still
+      reach d with the pair's wider path as the partner;
+    - after d's first run, and after any later run that lifts its
+      incumbent above where its last search started, an exact
+      depth-first search looks for a better pair within FALLBACK_BUDGET
+      steps, from the incumbent, or from the max-min pair (two disjoint
+      paths on the links >= M_d) when the first run reached nothing or
+      less than 2 M_d. A search that finishes proves its pair optimal;
+    - a proven destination takes no further run or search. An answer
+      left unproven keeps the incumbent and reports the bound W_d + M_d,
+      never a guess.
 
-    Results depend only on the graph, s and dests, never on timing. A
-    wanted destination gets the same first run, searches and sweep runs
-    up to its M_d whatever else dests holds, and a destination left out
-    gets no search and no sweep run of its own. A bad destination raises
-    ValueError before any search.
+    Results depend only on the graph, s and dests, never on timing. The
+    runs and searches for d depend on d alone, so mlbdp_full(g, s, [d])
+    answers d as mlbdp_full(g, s) does, and a destination left out gets
+    no run or search of its own. A bad destination raises ValueError
+    before any search.
     """
     check_endpoints(g.n, s)
     if dests is None:
@@ -368,38 +367,32 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
         if not bounds:
             continue
         block = _block_graph(g.n, links)
-        limits = unique_bandwidths(block)
-        best: dict[int, PathPair] = {}
-        _keep_improved(run_limit_search(block, s, limits[0]), bounds, best)
         search = None
-        started: dict[int, int] = {}
-        for d, (ub, m) in bounds.items():
-            pair = best.get(d)
-            if pair is not None and pair.combined == ub:
-                out[d] = DisjointResult(pair, ub)
-                continue
-            search = search or _BlockSearch(block, s)
-            if pair is None or pair.combined < 2 * m:
-                pair = search.max_min_pair(d, m)
-            best[d], ub = search.improve(d, pair, ub, m, FALLBACK_BUDGET)
-            if best[d].combined == ub:
-                out[d] = DisjointResult(best[d], ub)
-            else:
-                started[d] = pair.combined
-        for limit in limits[1:]:
-            if all(limit > bounds[d][1] or best[d].combined == bounds[d][0] for d in started):
+        best: dict[int, PathPair] = {}
+        started: dict[int, int] = {}  # per destination, where its last search started
+        for limit in unique_bandwidths(block):
+            # bounds keeps the unproven destinations only
+            taking = [d for d, (_, m) in bounds.items() if limit <= m]
+            if not taking:
                 break
             # the table is freed before the next run allocates its own
-            _keep_improved(run_limit_search(block, s, limit), started, best)
-        for d, start in started.items():
-            ub, m = bounds[d]
-            # a first search that raised the incumbent and then ran out of
-            # budget can prove it from a fresh start, so this compares with
-            # where that search started, not where it ended
-            if best[d].combined > start:
-                out[d] = DisjointResult(*search.improve(d, best[d], ub, m, FALLBACK_BUDGET))
-            else:
-                out[d] = DisjointResult(best[d], ub)
+            _keep_improved(run_limit_search(block, s, limit), taking, best)
+            for d in taking:
+                ub, m = bounds[d]
+                pair = best.get(d)
+                # from its last start a search would only repeat itself; one that
+                # raised the incumbent and ran out of budget may prove it from there
+                if pair is None or pair.combined != ub and pair.combined > started.get(d, -1):
+                    search = search or _BlockSearch(block, s)
+                    if pair is None or pair.combined < 2 * m:
+                        pair = search.max_min_pair(d, m)
+                    started[d] = pair.combined
+                    best[d], ub = search.improve(d, pair, ub, m, FALLBACK_BUDGET)
+                if best[d].combined == ub:
+                    out[d] = DisjointResult(best[d], ub)
+                    del bounds[d]
+        for d, (ub, _) in bounds.items():
+            out[d] = DisjointResult(best[d], ub)
     return dict(sorted(out.items()))
 
 
@@ -409,11 +402,11 @@ class _BlockSearch:
     The wider path P1 of a pair better than an incumbent of combined
     bandwidth inc carries more than inc / 2 and more than inc - M_d, so a
     depth-first search grows P1 from s over the links that wide only,
-    widest links first. A prefix of bottleneck a is dropped when the
-    partner, the widest s-d path avoiding the prefix, cannot carry
-    inc - a + 1 (then a + min(a, partner) <= inc), when the prefix cannot
-    reach d over the links P1 may use, or when the partner cannot avoid
-    the nodes every completion of P1 is forced through. The converse test
+    widest links first. A prefix of bottleneck a is dropped when it
+    cannot reach d over the links P1 may use, or when no partner of
+    bandwidth inc - a + 1 or more (else a + min(a, partner) <= inc)
+    avoids both the prefix and the nodes every completion of P1 is
+    forced through: one partner test per step. The converse test
     (P1 avoiding the partner's forced nodes) is implied: the partner's
     threshold is at most P1's, so completions of P1 run in the partner's
     graph, whose forced nodes are cut vertices that d reaches only through
@@ -582,15 +575,10 @@ class _BlockSearch:
                             if inc >= ub or a2 < thr:
                                 break
                         continue
-                    need = inc - a2 + 1
-                    if need > a2:
-                        continue
                     on2 = on | 1 << v
-                    if not self.reaches(need, s, d, ~on2):
-                        continue
                     # None: P1 cannot reach d; its forced nodes are closed to the partner
                     forced = self.forced(thr, v, d, ~on2)
-                    if forced is None or forced and not self.reaches(need, s, d, ~(on2 | forced)):
+                    if forced is None or not self.reaches(inc - a2 + 1, s, d, ~(on2 | forced)):
                         continue
                     path.append(v)
                     on = on2

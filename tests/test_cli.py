@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from widestpair import exact, mlbdp
+from widestpair import cli, exact, mlbdp
 from widestpair.cli import main
 from widestpair.graph import parse_topology
 from widestpair.sample import FIVE_NODE_TEXT
@@ -162,6 +162,17 @@ class TestGen:
         rc = main(["gen", "--nodes", "5", "--links", "99", "--seed", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("out", ["newdir/", "deep/er/", "."])
+    def test_directory_out_refused_before_generating(self, out, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "generate_random_graph", lambda *args: calls.append(args))
+        assert main(["gen", "--nodes", "6", "--links", "8", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out!r} names a directory; gen writes one topology file\n"
+        assert captured.out == ""
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "args, head",
         [
@@ -277,6 +288,18 @@ class TestBenchCommand:
         assert captured.err.startswith("error: --plot-data needs --out")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["five.topo"]
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_blocked_by_file_refused_before_running(self, out, topo_file, tmp_path, monkeypatch, capsys):
+        (tmp_path / "taken").write_text("keep")
+        calls = []
+        monkeypatch.setattr(cli, "run_benchmark", lambda cfg: calls.append(cfg))
+        rc = main(["bench", "--topology", topo_file, "--sweep", "fixed", "--out", str(tmp_path / out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert calls == []
+        assert (tmp_path / "taken").read_text() == "keep"
 
     @pytest.mark.parametrize(
         "args, head",

@@ -353,17 +353,58 @@ class TestCertified:
         # the sweep before the search made 1,755 runs here
         assert len(runs) <= 200
         # source 42 leaves destinations open after the search, and sweeps
-        assert runs.count(42) == 29
+        assert runs.count(42) == 27
 
     @pytest.mark.parametrize("budget", [0, 3, 2000])
     def test_one_destination_matches_all(self, budget, monkeypatch):
         monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", budget)
-        for g in [*HAND_GRAPHS, *suite_graphs(60, seed=574)]:
-            for s in range(g.n):
-                full = mlbdp_full(g, s)
-                for d in range(g.n):
-                    if d != s:
-                        assert mlbdp_full(g, s, [d]) == ({d: full[d]} if d in full else {})
+        queries = [(g, s) for g in [*HAND_GRAPHS, *suite_graphs(60, seed=574)] for s in range(g.n)]
+        # runs past d's M_d, made for other destinations, would lift the
+        # all-destination answer here: 2 -> 8 at budget 0, 28 -> 21 at budget 3
+        queries += [
+            (assign_random_bandwidths(generate_random_graph(30, 60, 11), 5000, 12), 2),
+            (assign_random_bandwidths(generate_random_graph(30, 45, 14), 50, 15), 28),
+        ]
+        for g, s in queries:
+            full = mlbdp_full(g, s)
+            for d in range(g.n):
+                if d != s:
+                    assert mlbdp_full(g, s, [d]) == ({d: full[d]} if d in full else {})
+
+    @pytest.mark.parametrize("budget", [0, 3, 2000])
+    def test_searches_follow_runs_up_to_m(self, budget, monkeypatch):
+        # each search of a destination starts above where its last one
+        # started, right after a run at a limit no higher than its M_d
+        monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", budget)
+        improve = _BlockSearch.improve
+        limits, searches = [], []
+
+        def counted(block, s, limit):
+            limits.append(limit)
+            return run_limit_search(block, s, limit)
+
+        def recorded(self, d, pair, *args):
+            searches.append((d, pair.combined, limits[-1]))
+            return improve(self, d, pair, *args)
+
+        monkeypatch.setattr(mlbdp, "run_limit_search", counted)
+        monkeypatch.setattr(_BlockSearch, "improve", recorded)
+        queries = [(g, s) for g in [*HAND_GRAPHS, *suite_graphs(60, seed=575)] for s in range(g.n)]
+        # a source whose first searches raise incumbents they cannot prove
+        queries.append((assign_random_bandwidths(generate_random_graph(50, 100, 4243), 5000, 4243), 42))
+        repeated = 0
+        for g, s in queries:
+            blocks = source_blocks(g.adjacency(), s)
+            m_of = {d: m for links in blocks for d, m in max_min_bounds_reference(g.n, links, s).items()}
+            searches.clear()
+            mlbdp_full(g, s)
+            started = {}
+            for d, start, limit in searches:
+                assert limit <= m_of[d]
+                assert start > started.get(d, -1)
+                repeated += d in started
+                started[d] = start
+        assert repeated
 
     def test_one_destination_skips_other_blocks(self, monkeypatch):
         runs = []
