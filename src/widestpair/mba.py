@@ -13,30 +13,46 @@ the sweep stops at the largest source-incident bandwidth <= W. When there
 is none, the widest path's narrowest link is not source-incident, so W is
 itself one of the other bandwidths and the sweep stops at W. A round
 therefore needs one widest search (widest.widest_tree, stopped at t) and
-one cheapest-path search.
+one cheapest-path search, stopped at t too.
+
+Round one depends only on the graph and the source, and all-pairs callers
+ask every destination of one source in turn. So each graph keeps a
+one-entry memo for the last source asked. The first query from a source
+runs the stopped searches and records only the source, so a caller that
+changes source on every query pays nothing more. A repeat query from that
+source builds the unstopped widest tree once, and one unstopped
+cheapest-path tree per distinct tau when first needed; W, tau and the
+first path are then lookups and a predecessor walk. Both searches pop the
+same nodes in the same order up to t whether stopped or not, so t's W and
+its predecessor chain, ties included, are the same: the memo changes how
+long a query takes, never its answer. add_link clears it.
 
 The cheapest-path cost is C - bandwidth, with C one above the largest
 bandwidth left. Round one's C comes from the graph's top bandwidth
-(Graph.top_links, found once per graph). Round two counts the top links
-the first path's removal takes and keeps that C unless it took them all;
-only then does it scan what is left.
+(Graph.top_links, found once per graph). Round two counts the links of
+the top two bandwidth levels that the first path's removal takes, and
+keeps the largest level it has not lost whole; only when it lost both
+does it scan what is left.
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import Iterable
 
 from .graph import Graph, PathPair, bottleneck, check_endpoints
 from .widest import Adjacency, widest_tree, without_link
 
 
-def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int], c: int) -> tuple[int, ...]:
-    """Min-cost Dijkstra on the links with bandwidth >= tau, avoiding the closed nodes.
+def _cheapest_path(adj: Adjacency, s: int, tau: int, closed: Iterable[int], c: int, stop: int = -1) -> list[int]:
+    """Min-cost Dijkstra from s on the links with bandwidth >= tau, avoiding the closed nodes.
 
-    Cost per link is c - bandwidth, where the caller passes c one above the
-    largest bandwidth on a link between two open nodes, so high-bandwidth
-    links are preferred. Ties go to fewer hops, then lowest node id.
-    Callers ensure that t is reachable.
+    Returns the predecessor list, -1 where no path was found. Cost per
+    link is c - bandwidth, where the caller passes c one above the largest
+    bandwidth on a link between two open nodes, so high-bandwidth links
+    are preferred. Ties go to fewer hops, then lowest node id. The search
+    returns as soon as node stop is settled; the predecessor walk from
+    stop is then final, as it is from every node of an unstopped search.
     """
     n = len(adj)
     done = bytearray(n)
@@ -48,11 +64,11 @@ def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int], c
     dist[s] = 0
     pred = [-1] * n
     heap = [s]
-    while True:
+    while heap:
         dh, x = divmod(heapq.heappop(heap), n)
         if done[x]:
             continue
-        if x == t:
+        if x == stop:
             break
         done[x] = 1
         for v, bw in adj[x]:
@@ -63,11 +79,21 @@ def _cheapest_path(adj: Adjacency, s: int, t: int, tau: int, closed: set[int], c
                 dist[v] = cand
                 pred[v] = x
                 heapq.heappush(heap, cand * n + v)
+    return pred
+
+
+def _walk(pred: list[int], s: int, t: int) -> tuple[int, ...]:
+    """The s-t path that the predecessor list of a search from s holds."""
     path = [t]
     while path[-1] != s:
         path.append(pred[path[-1]])
     path.reverse()
     return tuple(path)
+
+
+def _threshold(adj: Adjacency, s: int, w: int, closed: set[int]) -> int:
+    """The sweep's tau: the largest open source-incident bandwidth <= w, else w."""
+    return max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
 
 
 def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tuple[int, ...] | None:
@@ -78,8 +104,31 @@ def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tup
     w = widest_tree(adj, s, closed, t).maxbw[t]
     if w == 0:
         return None
-    tau = max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
-    return _cheapest_path(adj, s, t, tau, closed, c)
+    return _walk(_cheapest_path(adj, s, _threshold(adj, s, w, closed), closed, c, t), s, t)
+
+
+def _first_path(g: Graph, adj: Adjacency, s: int, t: int, c: int) -> tuple[int, ...] | None:
+    """Round one, the same as _round_path(adj, s, t, set(), c), through g's memo.
+
+    The memo g._mba is (source, its unstopped widest maxbw or None,
+    {tau: its unstopped cheapest-path predecessors}).
+    """
+    memo = g._mba
+    if memo is None or memo[0] != s:
+        g._mba = (s, None, {})
+        return _round_path(adj, s, t, set(), c)
+    _, maxbw, trees = memo
+    if maxbw is None:
+        maxbw = widest_tree(adj, s).maxbw
+        g._mba = (s, maxbw, trees)
+    w = maxbw[t]
+    if w == 0:
+        return None
+    tau = _threshold(adj, s, w, set())
+    pred = trees.get(tau)
+    if pred is None:
+        pred = trees[tau] = _cheapest_path(adj, s, tau, (), c)
+    return _walk(pred, s, t)
 
 
 def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
@@ -88,30 +137,48 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     Round one finds a path; its links, its interior nodes (never s or
     t), and their incident links are removed; round two repeats the
     sweep on what is left. Returns None as soon as either round finds
-    nothing. Both rounds use C = top + 1 for the graph's largest
-    bandwidth top, unless round two has lost every link of bandwidth
-    top; it then scans what is left for its C.
+    nothing. Round one uses C = top + 1 for the graph's largest
+    bandwidth top. Round two keeps that C unless it has lost every link
+    of bandwidth top; it then uses second + 1 for the second-largest
+    bandwidth, unless it lost every link of that too, and only then
+    scans what is left for its C.
+
+    A repeat query from the last source asked on g reads round one from
+    g's memo (see the module docstring); the answer is the same either
+    way.
     """
     check_endpoints(g.n, s, t)
     adj = g.adjacency()
-    top, count = g.top_links()
-    first = _round_path(adj, s, t, set(), top + 1)
+    top, count, second, count2 = g.top_links()
+    first = _first_path(g, adj, s, t, top + 1)
     if first is None:
         return None
     red_bw = bottleneck(g, first)
     closed = set(first[1:-1])
     if closed:
-        # a top link between two removed nodes counts once, at its higher end
-        lost = sum(1 for x in closed for v, bw in adj[x] if bw == top and (v < x or v not in closed))
+        # a link between two removed nodes counts once, at its higher
+        # end; only top and second links are >= second
+        lost = lost2 = 0
+        for x in closed:
+            for v, bw in adj[x]:
+                if bw >= second and (v < x or v not in closed):
+                    if bw == top:
+                        lost += 1
+                    elif bw == second:
+                        lost2 += 1
     else:
         # the direct s-t hop leaves no interior node to delete, so round
         # two drops the link itself
         adj = without_link(adj, s, t)
         lost = int(red_bw == top)
-    c = top + 1
-    if lost == count:
+        lost2 = int(red_bw == second)
+    if lost < count:
+        c = top + 1
+    elif lost2 < count2:
+        c = second + 1
+    else:
         c = 1 + max((bw for u, row in enumerate(adj) if u not in closed for v, bw in row if v not in closed), default=0)
-    second = _round_path(adj, s, t, closed, c)
-    if second is None:
+    second_path = _round_path(adj, s, t, closed, c)
+    if second_path is None:
         return None
-    return PathPair(first, second, red_bw, bottleneck(g, second))
+    return PathPair(first, second_path, red_bw, bottleneck(g, second_path))

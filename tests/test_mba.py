@@ -1,9 +1,19 @@
 import heapq
+import sys
+import threading
 
 import pytest
 
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import PathPair, bottleneck, parse_topology, serialize_topology, validate_pair
+from widestpair.graph import (
+    PathPair,
+    assign_random_bandwidths,
+    bottleneck,
+    generate_random_graph,
+    parse_topology,
+    serialize_topology,
+    validate_pair,
+)
 from widestpair.mba import _round_path, mba_pair
 from widestpair.mlbdp import mlbdp_full
 
@@ -161,6 +171,47 @@ class TestPairSearch:
         fresh = parse_topology(serialize_topology(g))
         assert after == [mba_pair(fresh, s, t) for s, t in queries]
         assert after != before
+
+    def test_memo_dies_with_add_link(self):
+        # the second query from source 0 fills g's round-one memo; the new
+        # direct link then changes round one for 0-1, and every answer from
+        # the same source must see it
+        g = make_graph(6, TOP_ON_FIRST_PATH)
+        before = [mba_pair(g, 0, 1) for _ in range(2)]
+        g.add_link(0, 1, 300)
+        after = [mba_pair(g, 0, t) for t in range(1, g.n)]
+        fresh = parse_topology(serialize_topology(g))
+        assert after == [mba_pair(fresh, 0, t) for t in range(1, g.n)]
+        assert before[1].red == (0, 2, 1) and after[0].red == (0, 1)
+
+    def test_threads_sharing_a_graph_agree(self):
+        # each thread asks every pair source-major from its own first
+        # source, so the threads keep replacing the graph's memo under one
+        # another; every answer must equal that of a graph of its own
+        g = assign_random_bandwidths(generate_random_graph(20, 40, 5), 50, 6)
+        fresh = parse_topology(serialize_topology(g))
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        expected = {p: mba_pair(fresh, *p) for p in pairs}
+        results = {}
+
+        def ask(k):
+            start = 19 * 5 * k  # 19 pairs per source
+            results[k] = [(p, mba_pair(g, *p)) for p in pairs[start:] + pairs[:start]]
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 4
+        for answers in results.values():
+            assert dict(answers) == expected
 
     def test_bad_endpoints(self, five_node):
         with pytest.raises(ValueError):

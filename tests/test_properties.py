@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from widestpair import mlbdp
 from widestpair.exact import optimal_pair_bruteforce
-from widestpair.graph import validate_pair
+from widestpair.graph import parse_topology, serialize_topology, validate_pair
+from widestpair.mba import mba_pair
 from widestpair.mlbdp import _blocks_and_bounds, mlbdp_full
 from widestpair.widest import max_bandwidth_tree
 
@@ -63,3 +64,17 @@ def test_max_min_bounds_match_thresholds(query):
     g, s = query
     for links, bounds in _blocks_and_bounds(max_bandwidth_tree(g, s), g.adjacency()):
         assert bounds == max_min_bounds_reference(g.n, links, s)
+
+
+@PROFILE
+@given(queries())
+def test_mba_answers_do_not_depend_on_query_order(query):
+    g, _ = query
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+    # destination-major first: the source changes on every call, so the
+    # graph's round-one memo is always cold
+    cold = {(s, t): mba_pair(g, s, t) for s, t in sorted(pairs, key=lambda p: p[::-1])}
+    # source-major: every query after a source's first reads the memo
+    warm = {(s, t): mba_pair(g, s, t) for s, t in pairs}
+    fresh = parse_topology(serialize_topology(g))
+    assert warm == cold == {(s, t): mba_pair(fresh, s, t) for s, t in pairs}
