@@ -178,6 +178,19 @@ def bottleneck(g: Graph, path: Sequence[int]) -> int:
     """
     if len(path) < 2:
         raise ValueError("bottleneck undefined for paths with fewer than 2 nodes")
+    n, adj = g.n, g._adj
+    u, out = path[0], None
+    if 0 <= u < n:
+        for v in path[1:]:
+            bw = adj[u].get(v) if 0 <= v < n else None
+            if bw is None:
+                break
+            if out is None or bw < out:
+                out = bw
+            u = v
+        else:
+            return out
+    # a bad path: Graph.bandwidth raises the first bad hop's error
     return min(g.bandwidth(u, v) for u, v in zip(path, path[1:]))
 
 

@@ -21,13 +21,13 @@ at most M_d, the largest bandwidth t at which s and d still share a
 biconnected block among the links >= t; so W_d + M_d bounds every pair,
 and M_d > 0 exactly when a pair exists. One union-find pass over the
 fundamental cycles of s's widest tree gives the blocks that hold s and
-every M_d. Each block sweeps its limits in ascending order, and d takes
-the runs up to M_d until it is proven. After its first run, and after
-any later one that lifts its answer, an exact depth-first search over
-the wider path tries to close the gap to the bound within a budget of
-search steps. Each answer is a graph.DisjointResult: the pair and its
-proven upper bound; it is optimal when its combined bandwidth equals
-that bound.
+every M_d. Each block makes one run at its lowest limit, then one run at
+each distinct M_d of the destinations left unproven, for those only.
+After d's first run, and after its run at M_d, an exact depth-first
+search over the wider path tries to close the gap to the bound within a
+budget of search steps. Each answer is a graph.DisjointResult: the pair
+and its proven upper bound; it is optimal when its combined bandwidth
+equals that bound.
 """
 
 from __future__ import annotations
@@ -327,19 +327,19 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
     Two disjoint s-d paths exist only when d shares a biconnected block
     with s, and every simple path between two nodes of a block stays in
     it, so each block is searched alone, with the same node ids. Each
-    block that holds a wanted destination sweeps its limits in ascending
-    order, for the wanted destinations only:
+    block that holds a wanted destination makes two rounds of runs, for
+    the wanted destinations only:
 
-    - d takes part in the runs at limits up to M_d while it is unproven,
-      and the sweep stops when no such destination is left. This keeps
-      the sweep short; it is not a proof, since a run above M_d can still
-      reach d with the pair's wider path as the partner;
-    - after d's first run, and after any later run that lifts its
-      incumbent above where its last search started, an exact
-      depth-first search looks for a better pair within FALLBACK_BUDGET
-      steps, from the incumbent, or from the max-min pair (two disjoint
-      paths on the links >= M_d) when the first run reached nothing or
-      less than 2 M_d. A search that finishes proves its pair optimal;
+    - round one is one run at the block's lowest limit; round two, one
+      run at each distinct M_d of those still unproven, for those only.
+      Stopping at M_d is not a proof: a run above M_d can still reach d
+      with the pair's wider path as the partner;
+    - after d's first run, and after its run at M_d if its incumbent is
+      then above where its last search started, an exact depth-first
+      search looks for a better pair within FALLBACK_BUDGET steps, from
+      the incumbent, or from the max-min pair (two disjoint paths on the
+      links >= M_d) when the first run reached nothing or less than
+      2 M_d. A search that finishes proves its pair optimal;
     - a proven destination takes no further run or search. An answer
       left unproven keeps the incumbent and reports the bound W_d + M_d,
       never a guess.
@@ -370,11 +370,9 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
         search = None
         best: dict[int, PathPair] = {}
         started: dict[int, int] = {}  # per destination, where its last search started
-        for limit in unique_bandwidths(block):
-            # bounds keeps the unproven destinations only
-            taking = [d for d, (_, m) in bounds.items() if limit <= m]
-            if not taking:
-                break
+        lowest = min(bw for _, _, bw in links)
+        runs = [(lowest, list(bounds))]
+        for limit, taking in runs:
             # the table is freed before the next run allocates its own
             _keep_improved(run_limit_search(block, s, limit), taking, best)
             for d in taking:
@@ -391,6 +389,10 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
                 if best[d].combined == ub:
                     out[d] = DisjointResult(best[d], ub)
                     del bounds[d]
+            if limit == lowest:
+                # round two: one run per distinct M_d left in bounds, for those destinations
+                ms = sorted({m for _, m in bounds.values()} - {lowest})
+                runs += [(m, [d for d, (_, dm) in bounds.items() if dm == m]) for m in ms]
         for d, (ub, _) in bounds.items():
             out[d] = DisjointResult(best[d], ub)
     return dict(sorted(out.items()))

@@ -320,6 +320,24 @@ class TestBottleneck:
         with pytest.raises(ValueError):
             bottleneck(five_node, (0, 3))
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            # an unlinked hop before an out-of-range node is reported first
+            ((0, 3, 9), "no link 0-3"),
+            ((0, 2, 9), "node id 9 out of range 0..4"),
+            ((9, 0, 3), "node id 9 out of range 0..4"),
+            # node -1 would index node 4's row, and 4-2 is a link
+            ((-1, 2), "node id -1 out of range 0..4"),
+            ((2, -1), "node id -1 out of range 0..4"),
+            ((0, 1, 2, 9), "no link 1-2"),
+        ],
+    )
+    def test_errors_follow_the_path(self, five_node, path, message):
+        with pytest.raises(ValueError) as exc:
+            bottleneck(five_node, path)
+        assert str(exc.value) == message
+
     def test_bounded_by_every_link_with_equality(self):
         for g in suite_graphs(10):
             # greedy sorted-neighbor walk gives an arbitrary simple path

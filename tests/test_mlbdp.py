@@ -339,6 +339,35 @@ class TestCertified:
             assert (full[d].combined, full[d].upper_bound) == (3106, 3106)
         assert (full[38].combined, full[38].upper_bound) == (2994, 3124)
 
+    @pytest.mark.parametrize(
+        "k, s, d, want",
+        [(11, 1, 85, (3643, 3700)), (11, 3, 65, (2282, 2687)), (11, 5, 49, (3851, 3851)), (12, 35, 25, (3937, 4359))],
+    )
+    def test_hard_set(self, k, s, d, want):
+        # 100-node queries the search cannot close, or closes only after
+        # the run at M_d; an ILP found each answer optimal
+        g = assign_random_bandwidths(generate_random_graph(100, 200, k), 5000, k + 1)
+        res = mlbdp_full(g, s, [d])[d]
+        validate_pair(g, res.pair)
+        assert (res.combined, res.upper_bound) == want
+
+    def test_run_at_m_lifts_what_the_first_search_left_open(self, monkeypatch):
+        improve = _BlockSearch.improve
+        searches = []
+
+        def recorded(self, d, *args):
+            found, proven = improve(self, d, *args)
+            searches.append((found.combined, proven))
+            return found, proven
+
+        monkeypatch.setattr(_BlockSearch, "improve", recorded)
+        g = assign_random_bandwidths(generate_random_graph(50, 100, 7923), 5000, 7924)
+        res = mlbdp_full(g, 1, [8])[8]
+        # the first search stops at 2553 of 3070; the run at M_d lifts it
+        # to 2943, and the search from there proves it
+        assert searches == [(2553, 3070), (2943, 2943)]
+        assert (res.combined, res.upper_bound) == (2943, 2943)
+
     def test_sweep_only_for_open_destinations(self, monkeypatch):
         runs = []
 
@@ -352,8 +381,49 @@ class TestCertified:
             mlbdp_full(g, s)
         # the sweep before the search made 1,755 runs here
         assert len(runs) <= 200
-        # source 42 leaves destinations open after the search, and sweeps
-        assert runs.count(42) == 27
+        # source 42 leaves destinations open after the search: the ascending
+        # sweep up to their M_d made 27 runs, one run per M_d makes 3
+        assert runs.count(42) == 3
+
+    @pytest.mark.parametrize("budget", [0, 3, 2000])
+    def test_later_runs_one_per_open_m(self, budget, monkeypatch):
+        # in a block, every run after the first is at the M_d of a
+        # destination that its first search left open, one run per M_d
+        monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", budget)
+        improve = _BlockSearch.improve
+        events = []
+
+        def counted(block, s, limit):
+            events.append(("run", frozenset(block.links()), limit))
+            return run_limit_search(block, s, limit)
+
+        def recorded(self, d, pair, ub, *args):
+            found, proven = improve(self, d, pair, ub, *args)
+            events.append(("search", frozenset(self.block.links()), d, found.combined < proven))
+            return found, proven
+
+        monkeypatch.setattr(mlbdp, "run_limit_search", counted)
+        monkeypatch.setattr(_BlockSearch, "improve", recorded)
+        queries = [(g, s) for g in suite_graphs(60, seed=576) for s in range(g.n)]
+        queries.append((assign_random_bandwidths(generate_random_graph(50, 100, 4243), 5000, 4243), 42))
+        later = 0
+        for g, s in queries:
+            m_of = {d: m for links in source_blocks(g.adjacency(), s) for d, m in max_min_bounds_reference(g.n, links, s).items()}
+            events.clear()
+            mlbdp_full(g, s)
+            limits: dict[frozenset, list[int]] = {}
+            left_open: dict[frozenset, set[int]] = {}
+            for kind, block, *rest in events:
+                if kind == "run":
+                    limits.setdefault(block, []).append(rest[0])
+                elif len(limits[block]) == 1 and rest[1]:
+                    left_open.setdefault(block, set()).add(rest[0])
+            for block, runs in limits.items():
+                lowest = min(bw for _, _, bw in block)
+                assert runs[0] == lowest
+                assert sorted(runs[1:]) == sorted({m_of[d] for d in left_open.get(block, ())} - {lowest})
+                later += len(runs) - 1
+        assert later
 
     @pytest.mark.parametrize("budget", [0, 3, 2000])
     def test_one_destination_matches_all(self, budget, monkeypatch):
@@ -402,6 +472,9 @@ class TestCertified:
             for d, start, limit in searches:
                 assert limit <= m_of[d]
                 assert start > started.get(d, -1)
+                if d in started:
+                    # a search after a later run follows the run at d's own M_d
+                    assert limit == m_of[d]
                 repeated += d in started
                 started[d] = start
         assert repeated
