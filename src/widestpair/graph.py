@@ -10,7 +10,6 @@ about it. check_endpoints is the one check of a query's endpoints.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,14 +32,14 @@ class Graph:
 
     Nodes are 0..n-1. Self-loops and parallel links are rejected at
     construction time. Instances are treated as immutable once built.
-    A graph caches data derived from its links: the adjacency snapshot,
-    the top bandwidth levels and MBA's round-one memo for the last
-    source it was asked about (mba.mba_pair). add_link clears all
-    three. The caches never change an answer, so sharing a graph across
-    threads is safe; threads that alternate sources only lose the reuse.
+    A graph caches data derived from its links: the adjacency snapshot
+    and mba.mba_pair's memo, whose layout only the mba module knows.
+    add_link clears both. The caches never change an answer, so sharing
+    a graph across threads is safe; threads that alternate sources only
+    lose the reuse.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_snapshot", "_top", "_mba")
+    __slots__ = ("n", "_adj", "_m", "_snapshot", "_mba")
 
     def __init__(self, n: int):
         if n < 1:
@@ -49,8 +48,7 @@ class Graph:
         self._adj: list[dict[int, int]] = [{} for _ in range(n)]
         self._m = 0
         self._snapshot: list[list[tuple[int, int]]] | None = None
-        self._top: tuple[int, int, int, int] | None = None
-        self._mba: tuple[int, list[int] | None, dict[int, list[int]]] | None = None
+        self._mba: tuple | None = None
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -69,7 +67,6 @@ class Graph:
         self._adj[v][u] = bw
         self._m += 1
         self._snapshot = None
-        self._top = None
         self._mba = None
 
     @property
@@ -105,19 +102,6 @@ class Graph:
         if self._snapshot is None:
             self._snapshot = [sorted(d.items()) for d in self._adj]
         return self._snapshot
-
-    def top_links(self) -> tuple[int, int, int, int]:
-        """(top, links carrying top, second, links carrying second).
-
-        top and second are the largest and second-largest link bandwidths;
-        a missing level reads 0 with 0 links.
-        """
-        if self._top is None:
-            # every link sits in the rows of both its ends
-            tally = Counter(bw for d in self._adj for bw in d.values())
-            top, second = (sorted(tally, reverse=True) + [0, 0])[:2]
-            self._top = (top, tally[top] // 2, second, tally[second] // 2)
-        return self._top
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"

@@ -18,26 +18,26 @@ one cheapest-path search, stopped at t too.
 Round one depends only on the graph and the source, and all-pairs callers
 ask every destination of one source in turn. So each graph keeps a
 one-entry memo for the last source asked. The first query from a source
-runs the stopped searches and records only the source, so a caller that
-changes source on every query pays nothing more. A repeat query from that
-source builds the unstopped widest tree once, and one unstopped
-cheapest-path tree per distinct tau when first needed; W, tau and the
-first path are then lookups and a predecessor walk. Both searches pop the
-same nodes in the same order up to t whether stopped or not, so t's W and
-its predecessor chain, ties included, are the same: the memo changes how
-long a query takes, never its answer. add_link clears it.
+builds it: one unstopped widest tree, then one unstopped cheapest-path
+tree per distinct tau when first needed. Every query reads W, tau and
+the first path from it, through a lookup and a predecessor walk. A
+search stopped at t pops the same nodes in the same order up to t, so
+t's W and its predecessor chain, ties included, are those a stopped
+round would find. add_link clears the memo.
 
 The cheapest-path cost is C - bandwidth, with C one above the largest
 bandwidth left. Round one's C comes from the graph's top bandwidth
-(Graph.top_links, found once per graph). Round two counts the links of
-the top two bandwidth levels that the first path's removal takes, and
-keeps the largest level it has not lost whole; only when it lost both
-does it scan what is left.
+(_levels, found once per graph and kept in the memo from one source to
+the next). Round two, which runs its searches stopped at t, counts the
+links of the top two bandwidth levels that the first path's removal
+takes, and keeps the largest level it has not lost whole; only when it
+lost both does it scan what is left.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Iterable
 
 from .graph import Graph, PathPair, bottleneck, check_endpoints
@@ -96,6 +96,18 @@ def _threshold(adj: Adjacency, s: int, w: int, closed: set[int]) -> int:
     return max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
 
 
+def _levels(adj: Adjacency) -> tuple[int, int, int, int]:
+    """(top, links carrying top, second, links carrying second).
+
+    top and second are the largest and second-largest link bandwidths;
+    a missing level reads 0 with 0 links.
+    """
+    # every link sits in the rows of both its ends
+    tally = Counter(bw for row in adj for _, bw in row)
+    top, second = (sorted(tally, reverse=True) + [0, 0])[:2]
+    return top, tally[top] // 2, second, tally[second] // 2
+
+
 def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tuple[int, ...] | None:
     """One round: the path the threshold sweep returns, or None when t is unreachable.
 
@@ -105,30 +117,6 @@ def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tup
     if w == 0:
         return None
     return _walk(_cheapest_path(adj, s, _threshold(adj, s, w, closed), closed, c, t), s, t)
-
-
-def _first_path(g: Graph, adj: Adjacency, s: int, t: int, c: int) -> tuple[int, ...] | None:
-    """Round one, the same as _round_path(adj, s, t, set(), c), through g's memo.
-
-    The memo g._mba is (source, its unstopped widest maxbw or None,
-    {tau: its unstopped cheapest-path predecessors}).
-    """
-    memo = g._mba
-    if memo is None or memo[0] != s:
-        g._mba = (s, None, {})
-        return _round_path(adj, s, t, set(), c)
-    _, maxbw, trees = memo
-    if maxbw is None:
-        maxbw = widest_tree(adj, s).maxbw
-        g._mba = (s, maxbw, trees)
-    w = maxbw[t]
-    if w == 0:
-        return None
-    tau = _threshold(adj, s, w, set())
-    pred = trees.get(tau)
-    if pred is None:
-        pred = trees[tau] = _cheapest_path(adj, s, tau, (), c)
-    return _walk(pred, s, t)
 
 
 def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
@@ -143,16 +131,25 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     bandwidth, unless it lost every link of that too, and only then
     scans what is left for its C.
 
-    A repeat query from the last source asked on g reads round one from
-    g's memo (see the module docstring); the answer is the same either
-    way.
+    Round one reads W, tau and the first path from g's memo for s,
+    which the first query from s builds (see the module docstring).
     """
     check_endpoints(g.n, s, t)
     adj = g.adjacency()
-    top, count, second, count2 = g.top_links()
-    first = _first_path(g, adj, s, t, top + 1)
-    if first is None:
+    # g._mba is (_levels(adj), its source, that source's unstopped widest
+    # maxbw, {tau: its unstopped cheapest-path predecessors})
+    memo = g._mba
+    if memo is None or memo[1] != s:
+        memo = g._mba = (_levels(adj) if memo is None else memo[0], s, widest_tree(adj, s).maxbw, {})
+    (top, count, second, count2), _, maxbw, trees = memo
+    w = maxbw[t]
+    if w == 0:
         return None
+    tau = _threshold(adj, s, w, set())
+    pred = trees.get(tau)
+    if pred is None:
+        pred = trees[tau] = _cheapest_path(adj, s, tau, (), top + 1)
+    first = _walk(pred, s, t)
     red_bw = bottleneck(g, first)
     closed = set(first[1:-1])
     if closed:

@@ -7,10 +7,10 @@ it whenever min(maxbw[x], bw(x, v)) improves on it.
 widest_tree is the package's one widest-path search. It serves the W
 bound of mlbdp_full (through max_bandwidth_tree), the partner path of the
 exact pair search and both rounds of the MBA baseline. The exact search
-and MBA's rounds close nodes, stop at their destination and may drop the
-direct link (without_link), except MBA's round one on a repeat source:
-it runs one unstopped tree, which the graph keeps for that source's
-later queries. Its WidestTree holds only what those callers read.
+and MBA's round two close nodes, stop at their destination and may drop
+the direct link (without_link). MBA's round one runs one unstopped tree
+per source, which the graph keeps for that source's later queries. Its
+WidestTree holds only what those callers read.
 """
 
 from __future__ import annotations

@@ -14,11 +14,14 @@ def test_record_keys_on_a_tiny_probe():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert set(out) == {"settings", "machine", "perfbench", "bench", "scale_probe", "solve_ms"}
+    assert set(out) == {"settings", "machine", "perfbench", "layers", "bench", "scale_probe", "solve_ms"}
     assert set(out["machine"]) == {"cpus", "python", "commit"}
     metrics = out["perfbench"]["wide-sweep"]["4242"]
     assert set(metrics) == {"setup_s", "mlbdp.pairs_per_s", "mba.pairs_per_s", "peak_rss_mb"}
     assert all(v > 0 for v in metrics.values())
+    # one traced fixed pass per workload, at the first seed
+    assert set(out["layers"]) == {"wide-sweep"} and set(out["layers"]["wide-sweep"]) == {"4242"}
+    assert out["layers"]["wide-sweep"]["4242"]["mba.calls"] > 0
     for section, graph in (("bench", "gen-6-8"), ("scale_probe", "gen-8-12")):
         algos = out[section][graph]
         assert set(algos) == {"mlbdp", "mba"}

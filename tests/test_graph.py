@@ -172,27 +172,6 @@ class TestGraphInvariants:
                 for v in g.neighbors(u):
                     assert u in g.neighbors(v)
 
-    def test_top_links_follow_add_link(self):
-        g = Graph(4)
-        assert g.top_links() == (0, 0, 0, 0)
-        g.add_link(0, 1, 5)
-        assert g.top_links() == (5, 1, 0, 0)
-        g.add_link(1, 2, 3)
-        assert g.top_links() == (5, 1, 3, 1)
-        g.add_link(2, 3, 5)
-        assert g.top_links() == (5, 2, 3, 1)
-        g.add_link(0, 3, 8)
-        assert g.top_links() == (8, 1, 5, 2)
-        for g in suite_graphs(20, max_bw=3):
-            top = max(bw for _, _, bw in g.links())
-            second = max((bw for _, _, bw in g.links() if bw < top), default=0)
-            assert g.top_links() == (
-                top,
-                sum(bw == top for _, _, bw in g.links()),
-                second,
-                sum(bw == second for _, _, bw in g.links()),
-            )
-
     @pytest.mark.parametrize(
         "n, message",
         [

@@ -4,8 +4,10 @@ import threading
 
 import pytest
 
+from widestpair import mba
 from widestpair.exact import optimal_pair_bruteforce
 from widestpair.graph import (
+    Graph,
     PathPair,
     assign_random_bandwidths,
     bottleneck,
@@ -14,8 +16,9 @@ from widestpair.graph import (
     serialize_topology,
     validate_pair,
 )
-from widestpair.mba import _round_path, mba_pair
+from widestpair.mba import _levels, _round_path, mba_pair
 from widestpair.mlbdp import mlbdp_full
+from widestpair.widest import widest_tree
 
 from .conftest import TRAP_LINKS, make_graph, suite_graphs, widest_by_enum
 
@@ -122,7 +125,7 @@ class TestPairSearch:
 
     def test_trap_graph_first_path_is_unique_widest(self, trap):
         # node map: source 0, t 3, the widest route runs 0-2-1-3
-        assert _round_path(trap.adjacency(), 0, 3, set(), trap.top_links()[0] + 1) == (0, 2, 1, 3)
+        assert _round_path(trap.adjacency(), 0, 3, set(), _levels(trap.adjacency())[0] + 1) == (0, 2, 1, 3)
 
     def test_trap_graph_misses_pair(self, trap):
         # removing the widest path's interior disconnects the endpoints,
@@ -183,6 +186,44 @@ class TestPairSearch:
         fresh = parse_topology(serialize_topology(g))
         assert after == [mba_pair(fresh, 0, t) for t in range(1, g.n)]
         assert before[1].red == (0, 2, 1) and after[0].red == (0, 1)
+
+    def test_levels_follow_add_link(self):
+        g = Graph(4)
+        assert _levels(g.adjacency()) == (0, 0, 0, 0)
+        g.add_link(0, 1, 5)
+        assert _levels(g.adjacency()) == (5, 1, 0, 0)
+        g.add_link(1, 2, 3)
+        assert _levels(g.adjacency()) == (5, 1, 3, 1)
+        g.add_link(2, 3, 5)
+        assert _levels(g.adjacency()) == (5, 2, 3, 1)
+        g.add_link(0, 3, 8)
+        assert _levels(g.adjacency()) == (8, 1, 5, 2)
+        for g in suite_graphs(20, max_bw=3):
+            top = max(bw for _, _, bw in g.links())
+            second = max((bw for _, _, bw in g.links() if bw < top), default=0)
+            assert _levels(g.adjacency()) == (
+                top,
+                sum(bw == top for _, _, bw in g.links()),
+                second,
+                sum(bw == second for _, _, bw in g.links()),
+            )
+
+    def test_one_round_one_widest_search_per_source(self, monkeypatch):
+        # round one's searches run on the graph's own adjacency with no
+        # node closed; round two closes the first path's interior or
+        # drops the direct link from a copy
+        g = make_graph(6, TOP_ON_FIRST_PATH)
+        round_one = []
+
+        def counted(adj, s, closed=(), stop=-1):
+            if adj is g.adjacency() and not closed:
+                round_one.append((s, stop))
+            return widest_tree(adj, s, closed, stop)
+
+        monkeypatch.setattr(mba, "widest_tree", counted)
+        for t in range(1, g.n):
+            mba_pair(g, 0, t)
+        assert round_one == [(0, -1)]
 
     def test_threads_sharing_a_graph_agree(self):
         # each thread asks every pair source-major from its own first

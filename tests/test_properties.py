@@ -72,7 +72,7 @@ def test_mba_answers_do_not_depend_on_query_order(query):
     g, _ = query
     pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
     # destination-major first: the source changes on every call, so the
-    # graph's round-one memo is always cold
+    # graph's round-one memo is rebuilt on every call
     cold = {(s, t): mba_pair(g, s, t) for s, t in sorted(pairs, key=lambda p: p[::-1])}
     # source-major: every query after a source's first reads the memo
     warm = {(s, t): mba_pair(g, s, t) for s, t in pairs}

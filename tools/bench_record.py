@@ -8,6 +8,9 @@ checkout, the one it lives in or another. It records:
 
 - ``perfbench``: the end-to-end metrics of ``perfbench/run.py --trace 0``
   per workload and seed, each the best of k runs;
+- ``layers``: every per-layer metric of one ``perfbench/run.py --seconds 0
+  --trace 1`` run (the workload's fixed pass, traced) per workload, at the
+  first seed;
 - ``bench``: all-pairs ``widestpair bench --sweep 5000 --algos mlbdp,mba``
   per generated graph: each algorithm's wall time (best of k), pairs
   found and answers left unproven;
@@ -44,17 +47,24 @@ def _run(root: Path, argv: list[str]) -> tuple[subprocess.CompletedProcess, floa
     return proc, time.perf_counter() - t0
 
 
+def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict[str, float]:
+    """The metrics of one ``perfbench/run.py`` run; refuses a run that is not correct or had failures."""
+    proc, _ = _run(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds), "--trace", str(trace)])
+    out = json.loads(proc.stdout.splitlines()[-1])
+    if not out["correct"] or out["failed"]:
+        raise RuntimeError(f"perfbench {workload} seed {seed} trace {trace}: "
+                           f"correct {out['correct']}, failed {out['failed']}")
+    return {name: m["value"] for name, m in out["metrics"].items()}
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, k: int) -> dict[str, float]:
     """Best of k ``--trace 0`` runs per end-to-end metric."""
     best: dict[str, float] = {}
     for _ in range(k):
-        proc, _ = _run(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                              "--seconds", str(seconds), "--trace", "0"])
-        out = json.loads(proc.stdout.splitlines()[-1])
-        if not out["correct"] or out["failed"]:
-            raise RuntimeError(f"perfbench {workload} seed {seed}: correct {out['correct']}, failed {out['failed']}")
+        metrics = _perfbench(root, workload, seed, seconds, 0)
         for name, higher in END_TO_END.items():
-            v = out["metrics"][name]["value"]
+            v = metrics[name]
             if name not in best or (v > best[name] if higher else v < best[name]):
                 best[name] = v
     return best
@@ -108,6 +118,7 @@ def record(args: argparse.Namespace) -> dict[str, object]:
             w: {str(seed): perfbench(root, w, seed, args.seconds, args.best_of) for seed in args.seeds}
             for w in args.workloads
         },
+        "layers": {w: {str(args.seeds[0]): _perfbench(root, w, args.seeds[0], 0, 1)} for w in args.workloads},
         "bench": {f"gen-{g.replace(',', '-')}": bench(root, g, args.best_of) for g in args.gens},
         "scale_probe": {f"gen-{args.probe.replace(',', '-')}": bench(root, args.probe, args.best_of)},
         "solve_ms": solve_ms(root, args.best_of),
