@@ -26,12 +26,12 @@ t's W and its predecessor chain, ties included, are those a stopped
 round would find. add_link clears the memo.
 
 The cheapest-path cost is C - bandwidth, with C one above the largest
-bandwidth left. Round one's C comes from the graph's top bandwidth
-(_levels, found once per graph and kept in the memo from one source to
-the next). Round two, which runs its searches stopped at t, counts the
-links of the top two bandwidth levels that the first path's removal
-takes, and keeps the largest level it has not lost whole; only when it
-lost both does it scan what is left.
+bandwidth a link still carries. _levels lists every link bandwidth with
+its link count, largest first, once per graph (the memo keeps it from
+one source to the next). Round one removes nothing, so its C is one
+above the first level. Round two, which runs its searches stopped at t,
+counts the links the first path's removal takes per bandwidth and takes
+C from the first level that keeps a link.
 """
 
 from __future__ import annotations
@@ -96,16 +96,12 @@ def _threshold(adj: Adjacency, s: int, w: int, closed: set[int]) -> int:
     return max((bw for v, bw in adj[s] if bw <= w and v not in closed), default=w)
 
 
-def _levels(adj: Adjacency) -> tuple[int, int, int, int]:
-    """(top, links carrying top, second, links carrying second).
-
-    top and second are the largest and second-largest link bandwidths;
-    a missing level reads 0 with 0 links.
-    """
+def _levels(adj: Adjacency) -> tuple[list[int], list[int]]:
+    """Every link bandwidth, largest first, and how many links carry each."""
     # every link sits in the rows of both its ends
     tally = Counter(bw for row in adj for _, bw in row)
-    top, second = (sorted(tally, reverse=True) + [0, 0])[:2]
-    return top, tally[top] // 2, second, tally[second] // 2
+    bws = sorted(tally, reverse=True)
+    return bws, [tally[bw] // 2 for bw in bws]
 
 
 def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tuple[int, ...] | None:
@@ -125,11 +121,10 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     Round one finds a path; its links, its interior nodes (never s or
     t), and their incident links are removed; round two repeats the
     sweep on what is left. Returns None as soon as either round finds
-    nothing. Round one uses C = top + 1 for the graph's largest
-    bandwidth top. Round two keeps that C unless it has lost every link
-    of bandwidth top; it then uses second + 1 for the second-largest
-    bandwidth, unless it lost every link of that too, and only then
-    scans what is left for its C.
+    nothing. Each round's C is one above the largest bandwidth a link of
+    that round's graph carries: the graph's largest in round one, and in
+    round two the largest level whose links the removal did not all take
+    (C = 1 when it took every link).
 
     Round one reads W, tau and the first path from g's memo for s,
     which the first query from s builds (see the module docstring).
@@ -141,41 +136,31 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     memo = g._mba
     if memo is None or memo[1] != s:
         memo = g._mba = (_levels(adj) if memo is None else memo[0], s, widest_tree(adj, s).maxbw, {})
-    (top, count, second, count2), _, maxbw, trees = memo
+    (bws, counts), _, maxbw, trees = memo
     w = maxbw[t]
     if w == 0:
         return None
     tau = _threshold(adj, s, w, set())
     pred = trees.get(tau)
     if pred is None:
-        pred = trees[tau] = _cheapest_path(adj, s, tau, (), top + 1)
+        pred = trees[tau] = _cheapest_path(adj, s, tau, (), bws[0] + 1)
     first = _walk(pred, s, t)
     red_bw = bottleneck(g, first)
     closed = set(first[1:-1])
     if closed:
-        # a link between two removed nodes counts once, at its higher
-        # end; only top and second links are >= second
-        lost = lost2 = 0
-        for x in closed:
-            for v, bw in adj[x]:
-                if bw >= second and (v < x or v not in closed):
-                    if bw == top:
-                        lost += 1
-                    elif bw == second:
-                        lost2 += 1
+        # a link between two removed nodes is lost once, at its higher end
+        lost = [bw for x in closed for v, bw in adj[x] if v < x or v not in closed]
     else:
         # the direct s-t hop leaves no interior node to delete, so round
         # two drops the link itself
         adj = without_link(adj, s, t)
-        lost = int(red_bw == top)
-        lost2 = int(red_bw == second)
-    if lost < count:
-        c = top + 1
-    elif lost2 < count2:
-        c = second + 1
-    else:
-        c = 1 + max((bw for u, row in enumerate(adj) if u not in closed for v, bw in row if v not in closed), default=0)
-    second_path = _round_path(adj, s, t, closed, c)
-    if second_path is None:
+        lost = [red_bw]
+    c = 1
+    for bw, count in zip(bws, counts):
+        if lost.count(bw) < count:
+            c = bw + 1
+            break
+    blue = _round_path(adj, s, t, closed, c)
+    if blue is None:
         return None
-    return PathPair(first, second_path, red_bw, bottleneck(g, second_path))
+    return PathPair(first, blue, red_bw, bottleneck(g, blue))

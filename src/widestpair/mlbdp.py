@@ -436,22 +436,29 @@ class _BlockSearch:
             nb = self._masks[key] = [sum(1 << v for v, bw in a if bw >= t) for a in self.adj]
         return nb
 
-    def reaches(self, t: int, start: int, goal: int, allowed: int) -> bool:
-        """Whether start reaches goal over links >= t through allowed nodes."""
+    def _layers(self, t: int, start: int, goal: int, allowed: int) -> list[int] | None:
+        """Breadth-first layers (node masks) from start over links >= t through
+        allowed nodes, up to the one before goal; None when goal is out of reach."""
         nb = self.masks(t)
         goal_bit = 1 << goal
+        layers = []
         seen = frontier = 1 << start
         while frontier:
+            layers.append(frontier)
             nxt = 0
             while frontier:
                 low = frontier & -frontier
                 nxt |= nb[low.bit_length() - 1]
                 frontier ^= low
             if nxt & goal_bit:
-                return True
+                return layers
             frontier = nxt & allowed & ~seen
             seen |= frontier
-        return False
+        return None
+
+    def reaches(self, t: int, start: int, goal: int, allowed: int) -> bool:
+        """Whether start reaches goal over links >= t through allowed nodes."""
+        return self._layers(t, start, goal, allowed) is not None
 
     def forced(self, t: int, start: int, goal: int, allowed: int) -> int | None:
         """Mask of the nodes, endpoints excluded, on every start-goal path
@@ -461,21 +468,10 @@ class _BlockSearch:
         shortest path (breadth-first layers, walked back from goal) and
         testing each of its interior nodes for removal.
         """
-        nb = self.masks(t)
-        goal_bit = 1 << goal
-        layers = []
-        seen = frontier = 1 << start
-        while frontier and not frontier & goal_bit:
-            layers.append(frontier)
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= nb[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & (allowed | goal_bit) & ~seen
-            seen |= frontier
-        if not frontier:
+        layers = self._layers(t, start, goal, allowed)
+        if layers is None:
             return None
+        nb = self.masks(t)
         out = 0
         cur = goal
         for layer in reversed(layers[1:]):

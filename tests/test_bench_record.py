@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_record_keys_on_a_tiny_probe():
     # --seconds 0 runs perfbench's fixed pass only; the graphs are tiny
-    argv = ["--seconds", "0", "--best-of", "1", "--workloads", "wide-sweep", "--seeds", "4242",
+    argv = ["--seconds", "0", "--best-of", "2", "--workloads", "wide-sweep", "--seeds", "4242",
             "--gens", "6,8", "--probe", "8,12"]
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_record.py"), *argv],
                           capture_output=True, text=True, timeout=60)
@@ -25,8 +25,12 @@ def test_record_keys_on_a_tiny_probe():
     for section, graph in (("bench", "gen-6-8"), ("scale_probe", "gen-8-12")):
         algos = out[section][graph]
         assert set(algos) == {"mlbdp", "mba"}
-        assert set(algos["mlbdp"]) == {"wall_ms", "pairs_found", "unproven"}
-        assert set(algos["mba"]) == {"wall_ms", "pairs_found"}
+        assert set(algos["mlbdp"]) == {"wall_ms", "wall_ms_runs", "pairs_found", "unproven"}
+        assert set(algos["mba"]) == {"wall_ms", "wall_ms_runs", "pairs_found"}
+        for algo in algos.values():
+            # every run's wall time, in run order; wall_ms is the best
+            runs = algo["wall_ms_runs"]
+            assert len(runs) == out["settings"]["best_of"] and min(runs) == algo["wall_ms"]
         # mlbdp answers every pair that has one; MBA can miss some
         assert algos["mlbdp"]["pairs_found"] >= algos["mba"]["pairs_found"] > 0
     assert out["solve_ms"] > 0

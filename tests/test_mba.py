@@ -125,7 +125,7 @@ class TestPairSearch:
 
     def test_trap_graph_first_path_is_unique_widest(self, trap):
         # node map: source 0, t 3, the widest route runs 0-2-1-3
-        assert _round_path(trap.adjacency(), 0, 3, set(), _levels(trap.adjacency())[0] + 1) == (0, 2, 1, 3)
+        assert _round_path(trap.adjacency(), 0, 3, set(), _levels(trap.adjacency())[0][0] + 1) == (0, 2, 1, 3)
 
     def test_trap_graph_misses_pair(self, trap):
         # removing the widest path's interior disconnects the endpoints,
@@ -189,24 +189,19 @@ class TestPairSearch:
 
     def test_levels_follow_add_link(self):
         g = Graph(4)
-        assert _levels(g.adjacency()) == (0, 0, 0, 0)
+        assert _levels(g.adjacency()) == ([], [])
         g.add_link(0, 1, 5)
-        assert _levels(g.adjacency()) == (5, 1, 0, 0)
+        assert _levels(g.adjacency()) == ([5], [1])
         g.add_link(1, 2, 3)
-        assert _levels(g.adjacency()) == (5, 1, 3, 1)
+        assert _levels(g.adjacency()) == ([5, 3], [1, 1])
         g.add_link(2, 3, 5)
-        assert _levels(g.adjacency()) == (5, 2, 3, 1)
+        assert _levels(g.adjacency()) == ([5, 3], [2, 1])
         g.add_link(0, 3, 8)
-        assert _levels(g.adjacency()) == (8, 1, 5, 2)
+        assert _levels(g.adjacency()) == ([8, 5, 3], [1, 2, 1])
         for g in suite_graphs(20, max_bw=3):
-            top = max(bw for _, _, bw in g.links())
-            second = max((bw for _, _, bw in g.links() if bw < top), default=0)
-            assert _levels(g.adjacency()) == (
-                top,
-                sum(bw == top for _, _, bw in g.links()),
-                second,
-                sum(bw == second for _, _, bw in g.links()),
-            )
+            links = [bw for _, _, bw in g.links()]
+            bws = sorted(set(links), reverse=True)
+            assert _levels(g.adjacency()) == (bws, [links.count(bw) for bw in bws])
 
     def test_one_round_one_widest_search_per_source(self, monkeypatch):
         # round one's searches run on the graph's own adjacency with no
@@ -272,6 +267,39 @@ class TestSuiteProperties:
                         assert mba_pair(g, s, t) == _ref_mba_pair(g, s, t), (g, s, t)
                         queries += 1
         assert queries == 8058
+
+    def test_round_two_c_is_one_above_the_largest_bandwidth_left(self, monkeypatch):
+        # C is 1 + the largest bandwidth on a link between two open nodes
+        # of the adjacency round two searches, and 1 when no such link is
+        # left; some queries lose every link of the graph's top two levels
+        cs = []
+
+        def checked(adj, s, t, closed, c):
+            left = (bw for u, row in enumerate(adj) if u not in closed for v, bw in row if v not in closed)
+            assert c == 1 + max(left, default=0)
+            cs.append(c)
+            return _round_path(adj, s, t, closed, c)
+
+        def round_two_cs(g):
+            cs.clear()
+            for s in range(g.n):
+                for t in range(g.n):
+                    if t != s:
+                        mba_pair(g, s, t)
+            return cs
+
+        monkeypatch.setattr(mba, "_round_path", checked)
+        counts = []
+        for graphs in (suite_graphs(60, seed=96, max_bw=3), suite_graphs(40, seed=97, max_bw=5000)):
+            below = ones = 0
+            for g in graphs:
+                second = ([0] + sorted({bw for _, _, bw in g.links()}))[-2]
+                below += sum(c - 1 < second for c in round_two_cs(g))
+                ones += cs.count(1)
+            counts.append((below, ones))
+        assert counts == [(88, 10), (509, 24)]
+        # query 0-1 loses both links of bandwidth 100: C falls to 10
+        assert 10 in round_two_cs(make_graph(6, TOP_ON_FIRST_PATH))
 
     def test_pairs_valid_and_never_beat_oracle(self):
         for g in suite_graphs(40, seed=92):

@@ -12,8 +12,8 @@ checkout, the one it lives in or another. It records:
   --trace 1`` run (the workload's fixed pass, traced) per workload, at the
   first seed;
 - ``bench``: all-pairs ``widestpair bench --sweep 5000 --algos mlbdp,mba``
-  per generated graph: each algorithm's wall time (best of k), pairs
-  found and answers left unproven;
+  per generated graph: each algorithm's wall time (best of k, and every
+  run's in run order), pairs found and answers left unproven;
 - ``scale_probe``: the same for the 100-node graph;
 - ``solve_ms``: ``widestpair solve`` on the five-node example 0 -> 3, the
   whole process, best of k;
@@ -70,19 +70,19 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, k: int) -> d
     return best
 
 
-def bench(root: Path, gen: str, k: int) -> dict[str, dict[str, float]]:
+def bench(root: Path, gen: str, k: int) -> dict[str, dict[str, object]]:
     """All-pairs ``bench --gen gen --sweep 5000 --algos mlbdp,mba``: per
-    algorithm the best wall time of k runs, pairs found and unproven answers."""
-    out: dict[str, dict[str, float]] = {}
+    algorithm the best wall time of k runs, every run's wall time in run
+    order, pairs found and unproven answers."""
+    out: dict[str, dict[str, object]] = {}
     for _ in range(k):
         proc, _ = _run(root, ["-m", "widestpair", "bench", "--gen", gen, "--sweep", "5000",
                               "--algos", ",".join(ALGOS)])
         note = re.search(r"note: (\d+) mlbdp answers", proc.stderr)
         table = "".join(line for line in io.StringIO(proc.stdout) if not line.startswith("#"))
         for row in csv.DictReader(io.StringIO(table)):
-            ms = float(row["wall_time_ms"])
-            prev = out.get(row["algo"], {}).get("wall_ms", ms)
-            out[row["algo"]] = {"wall_ms": min(ms, prev), "pairs_found": int(row["pairs_found"])}
+            runs = out.get(row["algo"], {}).get("wall_ms_runs", []) + [float(row["wall_time_ms"])]
+            out[row["algo"]] = {"wall_ms": min(runs), "wall_ms_runs": runs, "pairs_found": int(row["pairs_found"])}
         out["mlbdp"]["unproven"] = int(note.group(1)) if note else 0
     return out
 
