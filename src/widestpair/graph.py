@@ -17,6 +17,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 # longest part of an offending line or integer that an error quotes
 _QUOTE_CHARS = 80
+# most unused node pairs generate_random_graph may list; 2,001 nodes pass
+MAX_LINK_POOL = 2_000_000
 
 
 class TopologyError(ValueError):
@@ -346,13 +348,17 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
 
     A random spanning tree guarantees connectivity without rejection
     loops; the remaining links are a random sample of the unused node
-    pairs. Deterministic per seed. Callers layer assign_random_bandwidths
-    to get capacities.
+    pairs, of which there may be at most MAX_LINK_POOL. Deterministic per
+    seed. Callers layer assign_random_bandwidths to get capacities.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {_quote_int(n)}")
     if not n - 1 <= m <= n * (n - 1) // 2:
         raise ValueError(f"infeasible link count {_quote_int(m)} for {_quote_int(n)} nodes")
+    pool_size = (n - 1) * (n - 2) // 2
+    if m > n - 1 and pool_size > MAX_LINK_POOL:
+        raise ValueError(f"{_quote_int(n)} nodes leave a pool of {_quote_int(pool_size)} unused node pairs "
+                         f"to sample extra links from; at most {MAX_LINK_POOL} allowed")
     rng = SplitMix64(seed)
     order = list(range(n))
     for i in range(n - 1, 0, -1):

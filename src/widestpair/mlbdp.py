@@ -51,7 +51,8 @@ class VNodeTable:
     bitmasks covering the source and every node on both partial paths,
     frontiers included. settled records flat indexes in the order vnodes
     became permanent through the search loop (pre-labeled source row and
-    column excluded).
+    column excluded). r and b hold each vnode's one label: it only rises
+    while the vnode is tentative and never changes once it is permanent.
     """
 
     __slots__ = ("n", "source", "limit", "r", "b", "prev", "visited", "permanent", "settled")
@@ -120,9 +121,11 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
 
     The heap holds one int per entry, ((top-r) << wb | (top-b)) << wi |
     idx with top the largest link bandwidth, which orders like
-    (-r, -b, idx). key_of holds each tentative vnode's current key, -1
-    once it is permanent, so an entry is stale exactly when it differs
-    from key_of and a relaxation wins exactly when its key is smaller.
+    (-r, -b, idx). A move wins when its (r, b) beats the target's label.
+    Pops never rise in (r, b) and no move raises either bottleneck, so no
+    permanent vnode improves and a vnode's newest entry pops before its
+    stale ones: an entry is stale exactly when its vnode is permanent. s
+    is in every visited mask, so no move targets the source row or column.
     """
     check_endpoints(g.n, s)
     if limit < 1:
@@ -139,12 +142,7 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     wi = (n * n).bit_length()
     sr = wb + wi
     imask = (1 << wi) - 1
-    key_of = [1 << (sr + wb)] * (n * n)
-    for i in range(n):
-        key_of[i * n + s] = key_of[s * n + i] = -1
     heap = [((top - r[idx]) << wb | (top - b[idx])) << wi | idx for idx in seeds]
-    for key in heap:
-        key_of[key & imask] = key
     heapq.heapify(heap)
     nbrs = [[(v, v * n, 1 << v, bw) for v, bw in a] for a in adj]
     # the partner bottleneck never drops below the limit, so second-
@@ -153,11 +151,9 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
-        key = pop(heap)
-        idx = key & imask
-        if key != key_of[idx]:
+        idx = pop(heap) & imask
+        if perm[idx]:
             continue
-        key_of[idx] = -1
         perm[idx] = 1
         settled.append(idx)
         x, y = divmod(idx, n)
@@ -173,14 +169,12 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
                 continue
             nr = rxy if bw >= rxy else bw
             tgt = vn + y
-            nkey = (top - nr) << sr | bterm | tgt
-            if nkey < key_of[tgt]:
-                key_of[tgt] = nkey
+            if nr > r[tgt] or nr == r[tgt] and bxy > b[tgt]:
                 r[tgt] = nr
                 b[tgt] = bxy
                 prev[tgt] = idx
                 vis[tgt] = vxy | vbit
-                push(heap, nkey)
+                push(heap, (top - nr) << sr | bterm | tgt)
         rterm = (top - rxy) << sr
         xn = idx - y
         for u, _, ubit, bw in wide[y]:
@@ -188,14 +182,12 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
                 continue
             nb = bxy if bw >= bxy else bw
             tgt = xn + u
-            nkey = rterm | (top - nb) << wi | tgt
-            if nkey < key_of[tgt]:
-                key_of[tgt] = nkey
+            if rxy > r[tgt] or rxy == r[tgt] and nb > b[tgt]:
                 r[tgt] = rxy
                 b[tgt] = nb
                 prev[tgt] = idx
                 vis[tgt] = vxy | ubit
-                push(heap, nkey)
+                push(heap, rterm | (top - nb) << wi | tgt)
     return table
 
 

@@ -9,7 +9,9 @@ the reference block finder, a Tarjan DFS independent of mlbdp's
 union-find pass, and max_min_bounds_reference builds M_d from it
 threshold by threshold. widest_tree_reference is the widest search with
 (-width, node) tuple heap keys, the reference for widest_tree's
-extraction order. evaluate, satisfied, group_counts, violations and
+extraction order, and limit_run_reference is the limit run with
+(-r, -b, idx) tuple heap keys, the reference for run_limit_search's
+tables. evaluate, satisfied, group_counts, violations and
 pair_to_assignment walk concrete assignments through the rows of an
 exact.IlpModel; group_counts reads a row's group off its name.
 
@@ -26,8 +28,10 @@ from collections.abc import Mapping
 from widestpair.exact import IlpModel, LinearConstraint
 from widestpair.graph import DisjointResult, Graph, PathPair
 from widestpair.mlbdp import (
+    VNodeTable,
     _block_graph,
     _blocks_and_bounds,
+    _initialize,
     _keep_improved,
     run_limit_search,
     unique_bandwidths,
@@ -206,6 +210,44 @@ def widest_tree_reference(adj: list[list[tuple[int, int]]], s: int, closed=(), s
                 previous[v] = x
                 heapq.heappush(heap, (-w, v))
     return WidestTree(s, maxbw, previous, settled)
+
+
+def limit_run_reference(g: Graph, s: int, limit: int) -> VNodeTable:
+    """mlbdp.run_limit_search with (-r, -b, idx) tuples as heap entries and
+    a map of each tentative vnode's current key: an entry is stale when it
+    is not its vnode's current key, and a move onto a tentative vnode wins
+    when its key is smaller."""
+    n = g.n
+    adj = g.adjacency()
+    table = VNodeTable(n, s, limit)
+    r, b, prev, vis, perm = table.r, table.b, table.prev, table.visited, table.permanent
+    current = {idx: (-r[idx], -b[idx], idx) for idx in _initialize(table, adj)}
+    heap = list(current.values())
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        idx = key[2]
+        if current.get(idx) != key:
+            continue
+        del current[idx]
+        perm[idx] = 1
+        table.settled.append(idx)
+        x, y = divmod(idx, n)
+        if x == y:
+            continue
+        # (target, r, b, the node added, the other frontier): the first
+        # coordinate's moves, then the second's, in adjacency order
+        moves = [(v * n + y, min(r[idx], bw), b[idx], v, y) for v, bw in adj[x]]
+        moves += [(x * n + u, r[idx], min(b[idx], bw), u, x) for u, bw in adj[y] if bw >= limit]
+        for tgt, nr, nb, w, other in moves:
+            if vis[idx] >> w & 1 and w != other or perm[tgt]:
+                continue
+            if tgt not in current or (-nr, -nb, tgt) < current[tgt]:
+                current[tgt] = (-nr, -nb, tgt)
+                r[tgt], b[tgt], prev[tgt] = nr, nb, idx
+                vis[tgt] = vis[idx] | 1 << w
+                heapq.heappush(heap, current[tgt])
+    return table
 
 
 def evaluate(row: LinearConstraint, assignment: Mapping[str, int]) -> int:

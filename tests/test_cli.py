@@ -173,6 +173,13 @@ class TestGen:
         assert captured.out == ""
         assert calls == [] and list(tmp_path.iterdir()) == []
 
+    def test_huge_link_pool_refused(self, tmp_path, capsys):
+        out = tmp_path / "g.topo"
+        assert main(["gen", "--nodes", "100000", "--links", "100000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "pool of 4999850001 unused node pairs" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "args, head",
         [
@@ -257,6 +264,13 @@ class TestBenchCommand:
     def test_bad_gen_value(self, capsys):
         rc = main(["bench", "--gen", "8", "--sweep", "10"])
         assert rc == 2
+
+    def test_huge_gen_link_pool_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bench", "--gen", "100000,100000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "pool of 4999850001 unused node pairs" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep(self, topo_file, capsys):
         rc = main(["bench", "--topology", topo_file, "--sweep", "ten"])

@@ -1,5 +1,6 @@
 import pytest
 
+from widestpair import graph
 from widestpair.graph import (
     Graph,
     PathPair,
@@ -282,6 +283,27 @@ class TestGenerate:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             generate_random_graph(1, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, m, pool",
+        [(100_000, 100_000, 4_999_850_001), (2_002, 2_002, 2_001_000), (2_001, 2_001, None), (3_000, 2_999, None)],
+        ids=["huge", "just-over", "at-bound", "tree"],
+    )
+    def test_link_pool_bound_checked_before_any_graph(self, monkeypatch, n, m, pool):
+        # the unused pairs are listed only for extra links; a tree lists none
+        class Built(Exception):
+            pass
+
+        def no_graph(*args):
+            raise Built
+
+        monkeypatch.setattr(graph, "Graph", no_graph)
+        if pool is None:
+            with pytest.raises(Built):
+                generate_random_graph(n, m, seed=1)
+        else:
+            with pytest.raises(ValueError, match=f"pool of {pool} unused node pairs"):
+                generate_random_graph(n, m, seed=1)
 
 
 class TestBottleneck:

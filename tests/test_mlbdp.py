@@ -24,7 +24,14 @@ from widestpair.mlbdp import (
 from widestpair.widest import max_bandwidth_tree
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
-from .helpers import limit_sweep, max_min_bounds_reference, mlbdp_single, source_blocks, virtual_link_count
+from .helpers import (
+    limit_run_reference,
+    limit_sweep,
+    max_min_bounds_reference,
+    mlbdp_single,
+    source_blocks,
+    virtual_link_count,
+)
 
 
 class TestUniqueBandwidths:
@@ -739,6 +746,21 @@ class TestSearchInvariants:
                     table = run_limit_search(g, s, limit)
                     values = [(table.r[idx], table.b[idx]) for idx in table.settled]
                     assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_tables_match_reference(self):
+        # every field of every table, also with bandwidths mapped as in
+        # the test_large_bandwidths tests, so that keys pack wide fields
+        def big(bw):
+            return 10**15 + bw * 10**12
+
+        graphs = [*HAND_GRAPHS, *suite_graphs(20, seed=577, max_bw=3), *suite_graphs(20, seed=578, max_bw=5000)]
+        graphs += [make_graph(g.n, [(u, v, big(bw)) for u, v, bw in g.links()]) for g in graphs]
+        fields = ("r", "b", "prev", "visited", "permanent", "settled")
+        for g in graphs:
+            for s in range(g.n):
+                for limit in unique_bandwidths(g):
+                    got, want = run_limit_search(g, s, limit), limit_run_reference(g, s, limit)
+                    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
     def test_visited_covers_previous_chain(self, five_node):
         table = run_limit_search(five_node, 0, 7)

@@ -18,6 +18,10 @@ checkout, the one it lives in or another. It records:
 - ``solve_ms``: ``widestpair solve`` on the five-node example 0 -> 3, the
   whole process, best of k;
 - ``machine``: CPU count, Python version and the checkout's commit.
+
+The workloads and the end-to-end metrics, with the direction in which each
+is better, come from the ``BENCHMARK.json`` of the checkout holding this
+script.
 """
 
 from __future__ import annotations
@@ -34,10 +38,13 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("wide-sweep", "dense-narrow", "desk-oracle", "bench-report")
-# perfbench's end-to-end metrics, and whether a higher value is better
-END_TO_END = {"setup_s": False, "mlbdp.pairs_per_s": True, "mba.pairs_per_s": True, "peak_rss_mb": False}
 ALGOS = ("mlbdp", "mba")
+CHECKOUT = Path(__file__).resolve().parent.parent  # the one holding this script
+
+
+def _benchmark() -> dict:
+    """The benchmark's declaration, this checkout's BENCHMARK.json."""
+    return json.loads((CHECKOUT / "BENCHMARK.json").read_text())
 
 
 def _run(root: Path, argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -58,14 +65,16 @@ def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int)
     return {name: m["value"] for name, m in out["metrics"].items()}
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float, k: int) -> dict[str, float]:
-    """Best of k ``--trace 0`` runs per end-to-end metric."""
+def perfbench(root: Path, workload: str, seed: int, seconds: float, k: int,
+              higher: dict[str, bool]) -> dict[str, float]:
+    """Best of k ``--trace 0`` runs per end-to-end metric; higher maps each
+    metric's name to whether a higher value is better."""
     best: dict[str, float] = {}
     for _ in range(k):
         metrics = _perfbench(root, workload, seed, seconds, 0)
-        for name, higher in END_TO_END.items():
+        for name, up in higher.items():
             v = metrics[name]
-            if name not in best or (v > best[name] if higher else v < best[name]):
+            if name not in best or (v > best[name] if up else v < best[name]):
                 best[name] = v
     return best
 
@@ -111,11 +120,12 @@ def machine(root: Path) -> dict[str, object]:
 
 def record(args: argparse.Namespace) -> dict[str, object]:
     root = args.root.resolve()
+    higher = {m["name"]: m["better"] == "higher" for m in _benchmark()["end_to_end"]}
     return {
         "settings": {"seconds": args.seconds, "best_of": args.best_of},
         "machine": machine(root),
         "perfbench": {
-            w: {str(seed): perfbench(root, w, seed, args.seconds, args.best_of) for seed in args.seeds}
+            w: {str(seed): perfbench(root, w, seed, args.seconds, args.best_of, higher) for seed in args.seeds}
             for w in args.workloads
         },
         "layers": {w: {str(args.seeds[0]): _perfbench(root, w, args.seeds[0], 0, 1)} for w in args.workloads},
@@ -126,12 +136,13 @@ def record(args: argparse.Namespace) -> dict[str, object]:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
+    workloads = [w["name"] for w in _benchmark()["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+    p.add_argument("--root", type=Path, default=CHECKOUT,
                    help="checkout to measure (default: the one holding this script)")
     p.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds per run")
     p.add_argument("--best-of", type=int, default=3)
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    p.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
     p.add_argument("--seeds", nargs="+", type=int, default=[4242, 7919])
     p.add_argument("--gens", nargs="+", default=["35,45", "50,100"], help="bench --gen graphs")
     p.add_argument("--probe", default="100,200", help="bench --gen graph of the scale probe")
