@@ -42,6 +42,8 @@ from .widest import Adjacency, WidestTree, extract_widest_path, max_bandwidth_tr
 # steps of one exact search; one step is one candidate node for the wider
 # path that the cheap filters let through
 FALLBACK_BUDGET = 2000
+# most nodes a limit run's n x n table may span: the generator's largest graph
+MAX_RUN_NODES = 2001
 
 
 class VNodeTable:
@@ -113,7 +115,8 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     partner bottleneck, then lowest (i, j)), records destinations when
     both coordinates agree, and otherwise relaxes both coordinates'
     neighbors under the visited-set disjointness check; second-coordinate
-    moves must also keep the partner bottleneck at or above the limit.
+    moves must also keep the partner bottleneck at or above the limit. A
+    graph of more than MAX_RUN_NODES nodes raises ValueError unallocated.
 
     A move onto the opposite frontier is the one exception to the
     visited-set check: it closes the pair at that node, producing the
@@ -131,6 +134,8 @@ def run_limit_search(g: Graph, s: int, limit: int) -> VNodeTable:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     n = g.n
+    if n > MAX_RUN_NODES:
+        raise ValueError(f"a limit run over {n} nodes needs {n * n:,} table cells; at most {MAX_RUN_NODES} nodes")
     adj = g.adjacency()
     table = VNodeTable(n, s, limit)
     seeds = _initialize(table, adj)
@@ -400,14 +405,16 @@ class _BlockSearch:
     cannot reach d over the links P1 may use, or when no partner of
     bandwidth inc - a + 1 or more (else a + min(a, partner) <= inc)
     avoids both the prefix and the nodes every completion of P1 is
-    forced through: one partner test per step. The converse test
+    forced through: one partner test per step. One pass, forced, gives
+    both the reachability and the forced nodes: a shortest completion,
+    then one flood of the pieces hanging off it. The converse test
     (P1 avoiding the partner's forced nodes) is implied: the partner's
     threshold is at most P1's, so completions of P1 run in the partner's
     graph, whose forced nodes are cut vertices that d reaches only through
     the last; a completion avoiding it avoids them all, and if none does,
     P1 is forced through it too. At d, the pair is P1 with that partner,
     from one widest_tree search that closes the prefix and stops at d.
-    Reachability tests walk node bitmasks, one neighbor mask per node and
+    Searches and floods walk node bitmasks, one neighbor mask per node and
     threshold, built once per threshold and block.
     """
 
@@ -456,21 +463,47 @@ class _BlockSearch:
         """Mask of the nodes, endpoints excluded, on every start-goal path
         over links >= t through allowed nodes; None when there is no path.
 
-        Such a node lies on every path, so it is found by taking one
-        shortest path (breadth-first layers, walked back from goal) and
-        testing each of its interior nodes for removal.
+        Such a node lies on one shortest path p0..pk (breadth-first layers,
+        walked back from goal). That path has no chord, as a link p_j-p_l
+        with l >= j + 2 would make a shorter one, so p_i is avoidable
+        exactly when a piece of the graph off the path joins some p_j,
+        j < i, to some p_l, l > i. So the pieces hanging off p0, p1, ...
+        are flooded in turn, each node once, tracking the farthest path
+        index touched: p_i is forced when the pieces off p0..p_(i-1) touch
+        nothing beyond it. A piece touching goal leaves no later p_i forced.
         """
         layers = self._layers(t, start, goal, allowed)
         if layers is None:
             return None
         nb = self.masks(t)
-        out = 0
-        cur = goal
-        for layer in reversed(layers[1:]):
-            step = nb[cur] & layer
-            cur = (step & -step).bit_length() - 1
-            if not self.reaches(t, start, goal, allowed & ~(1 << cur)):
-                out |= 1 << cur
+        path, suffix = [goal], [1 << goal]  # suffix[i]: the nodes p_i..pk, built back from goal
+        for layer in reversed(layers):
+            step = nb[path[-1]] & layer
+            step &= -step
+            path.append(step.bit_length() - 1)
+            suffix.append(suffix[-1] | step)
+        path.reverse()
+        suffix.reverse()
+        off = allowed & ~suffix[0]
+        out = touched = reach = 0
+        for i in range(len(path) - 2):
+            frontier = nb[path[i]] & off
+            while frontier:
+                off ^= frontier
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= nb[low.bit_length() - 1]
+                    frontier ^= low
+                if nxt >> goal & 1:
+                    return out
+                touched |= nxt
+                frontier = nxt & off
+            reach = max(reach, i + 1)
+            while touched & suffix[reach + 1]:
+                reach += 1
+            if reach == i + 1:
+                out |= 1 << path[i + 1]
         return out
 
     def max_min_pair(self, d: int, t: int) -> PathPair:

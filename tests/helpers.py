@@ -11,7 +11,9 @@ threshold by threshold. widest_tree_reference is the widest search with
 (-width, node) tuple heap keys, the reference for widest_tree's
 extraction order, and limit_run_reference is the limit run with
 (-r, -b, idx) tuple heap keys, the reference for run_limit_search's
-tables. evaluate, satisfied, group_counts, violations and
+tables. forced_reference finds _BlockSearch.forced's nodes by testing
+each interior node of one shortest path for removal. evaluate,
+satisfied, group_counts, violations and
 pair_to_assignment walk concrete assignments through the rows of an
 exact.IlpModel; group_counts reads a row's group off its name.
 
@@ -30,6 +32,7 @@ from widestpair.graph import DisjointResult, Graph, PathPair
 from widestpair.mlbdp import (
     VNodeTable,
     _block_graph,
+    _BlockSearch,
     _blocks_and_bounds,
     _initialize,
     _keep_improved,
@@ -248,6 +251,24 @@ def limit_run_reference(g: Graph, s: int, limit: int) -> VNodeTable:
                 vis[tgt] = vis[idx] | 1 << w
                 heapq.heappush(heap, current[tgt])
     return table
+
+
+def forced_reference(search: _BlockSearch, t: int, start: int, goal: int, allowed: int) -> int | None:
+    """_BlockSearch.forced by one reachability test per interior node of
+    one shortest start-goal path: such a node is forced when goal is out
+    of reach without it."""
+    layers = search._layers(t, start, goal, allowed)
+    if layers is None:
+        return None
+    nb = search.masks(t)
+    out = 0
+    cur = goal
+    for layer in reversed(layers[1:]):
+        step = nb[cur] & layer
+        cur = (step & -step).bit_length() - 1
+        if not search.reaches(t, start, goal, allowed & ~(1 << cur)):
+            out |= 1 << cur
+    return out
 
 
 def evaluate(row: LinearConstraint, assignment: Mapping[str, int]) -> int:

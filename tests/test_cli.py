@@ -67,6 +67,18 @@ class TestSolve:
         assert rc == 0
         assert "no node-disjoint pair" in capsys.readouterr().out
 
+    def test_oversized_graph_refused_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("VNodeTable allocated")
+
+        monkeypatch.setattr(mlbdp, "VNodeTable", no_table)
+        path = tmp_path / "big.topo"
+        path.write_text("nodes 5000\nlink 0 1 5\nlink 1 2 5\nlink 0 2 5\n")
+        assert main(["solve", "--topology", str(path), "--source", "0", "--dest", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "5000 nodes needs 25,000,000 table cells" in err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", "--topology", str(tmp_path / "nope"), "--source", "0", "--dest", "3"])
         assert rc == 2

@@ -25,6 +25,7 @@ from widestpair.widest import max_bandwidth_tree
 
 from .conftest import make_graph, path_bottleneck, ref_simple_paths, suite_graphs
 from .helpers import (
+    forced_reference,
     limit_run_reference,
     limit_sweep,
     max_min_bounds_reference,
@@ -615,6 +616,28 @@ class TestCertified:
                     common = set.intersection(*(set(p[1:-1]) for p in paths))
                     assert search.forced(t, 0, goal, -1) == sum(1 << v for v in common)
 
+    def test_forced_matches_reference(self):
+        # every start, random goals, thresholds and closed nodes (improve
+        # closes its prefix) on graphs of up to 20 nodes
+        rng = SplitMix64(579)
+        graphs = [*HAND_GRAPHS, *suite_graphs(60, seed=579, n_hi=20, max_bw=3),
+                  *suite_graphs(60, seed=580, n_hi=20, max_bw=5000)]
+        nonzero = closed = 0
+        for g in graphs:
+            search, bws = _BlockSearch(g, 0), unique_bandwidths(g)
+            for start in range(g.n):
+                for _ in range(12):
+                    goal = rng.below(g.n - 1)
+                    goal += goal >= start
+                    t = bws[rng.below(len(bws))]
+                    shut = sum(1 << v for v in range(g.n) if rng.below(4) == 0) if rng.below(4) else 0
+                    got = search.forced(t, start, goal, ~shut)
+                    assert got == forced_reference(search, t, start, goal, ~shut)
+                    nonzero += bool(got)
+                    closed += bool(got is not None and shut & ~(1 << start | 1 << goal))
+        # floors, so that the test cannot pass on empty masks or open graphs alone
+        assert nonzero >= 3000 and closed >= 4000
+
     def test_partner_forced_test_implied(self):
         # improve tests only P1's forced nodes against the partner (see
         # _BlockSearch): on random prefixes s..v and thresholds need <= thr,
@@ -761,6 +784,23 @@ class TestSearchInvariants:
                 for limit in unique_bandwidths(g):
                     got, want = run_limit_search(g, s, limit), limit_run_reference(g, s, limit)
                     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+    def test_oversized_graph_refused_before_allocating(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("VNodeTable allocated")
+
+        monkeypatch.setattr(mlbdp, "VNodeTable", no_table)
+        n = mlbdp.MAX_RUN_NODES + 1
+        g = make_graph(n, [(0, 1, 5), (1, 2, 5), (0, 2, 5), (2, n - 1, 5)])
+        with pytest.raises(ValueError, match=f"{n} nodes needs {n * n:,} table cells"):
+            run_limit_search(g, 0, 1)
+        with pytest.raises(ValueError, match=f"{n} nodes"):
+            mlbdp_full(g, 0)
+        # a source with fewer than two links makes no run and still answers
+        assert mlbdp_full(g, n - 1) == {}
+        # the largest accepted graph passes the guard and reaches the table
+        with pytest.raises(AssertionError, match="VNodeTable allocated"):
+            run_limit_search(make_graph(mlbdp.MAX_RUN_NODES, [(0, 1, 5)]), 0, 1)
 
     def test_visited_covers_previous_chain(self, five_node):
         table = run_limit_search(five_node, 0, 7)
