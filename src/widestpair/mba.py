@@ -26,18 +26,22 @@ t's W and its predecessor chain, ties included, are those a stopped
 round would find. add_link clears the memo.
 
 The cheapest-path cost is C - bandwidth, with C one above the largest
-bandwidth a link still carries. _levels lists every link bandwidth with
-its link count, largest first, once per graph (the memo keeps it from
-one source to the next). Round one removes nothing, so its C is one
-above the first level. Round two, which runs its searches stopped at t,
-counts the links the first path's removal takes per bandwidth and takes
-C from the first level that keeps a link.
+bandwidth a link still carries. _levels lists every link bandwidth,
+largest first, with the count of links at that level or above, once per
+graph (the memo keeps it from one source to the next). Round one removes
+nothing, so its C is one above the first level. Round two, which runs
+its searches stopped at t, takes C from the first level that keeps a
+link. Walking the levels down, one keeps a link when the removal takes
+fewer links at or above it than its count: a count above the removed
+nodes' degrees summed shows that at once, and otherwise one pass over
+those nodes' links counts them, one bandwidth compare rejecting most.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from itertools import accumulate
 from typing import Iterable
 
 from .graph import Graph, PathPair, bottleneck, check_endpoints
@@ -97,11 +101,11 @@ def _threshold(adj: Adjacency, s: int, w: int, closed: set[int]) -> int:
 
 
 def _levels(adj: Adjacency) -> tuple[list[int], list[int]]:
-    """Every link bandwidth, largest first, and how many links carry each."""
+    """Every link bandwidth, largest first, and how many links carry it or more."""
     # every link sits in the rows of both its ends
     tally = Counter(bw for row in adj for _, bw in row)
     bws = sorted(tally, reverse=True)
-    return bws, [tally[bw] // 2 for bw in bws]
+    return bws, list(accumulate(tally[bw] // 2 for bw in bws))
 
 
 def _round_path(adj: Adjacency, s: int, t: int, closed: set[int], c: int) -> tuple[int, ...] | None:
@@ -136,7 +140,7 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     memo = g._mba
     if memo is None or memo[1] != s:
         memo = g._mba = (_levels(adj) if memo is None else memo[0], s, widest_tree(adj, s).maxbw, {})
-    (bws, counts), _, maxbw, trees = memo
+    (bws, at_least), _, maxbw, trees = memo
     w = maxbw[t]
     if w == 0:
         return None
@@ -147,19 +151,32 @@ def mba_pair(g: Graph, s: int, t: int) -> PathPair | None:
     first = _walk(pred, s, t)
     red_bw = bottleneck(g, first)
     closed = set(first[1:-1])
-    if closed:
-        # a link between two removed nodes is lost once, at its higher end
-        lost = [bw for x in closed for v, bw in adj[x] if v < x or v not in closed]
-    else:
-        # the direct s-t hop leaves no interior node to delete, so round
-        # two drops the link itself
-        adj = without_link(adj, s, t)
-        lost = [red_bw]
     c = 1
-    for bw, count in zip(bws, counts):
-        if lost.count(bw) < count:
+    if closed:
+        # the removal takes at most room links
+        room = 0
+        for x in closed:
+            room += len(adj[x])
+        for bw, total in zip(bws, at_least):
+            if total <= room:
+                # a link between two removed nodes is lost once, at its higher end
+                lost = 0
+                for x in closed:
+                    for v, b in adj[x]:
+                        if b >= bw and (v < x or v not in closed):
+                            lost += 1
+                if lost == total:
+                    continue
             c = bw + 1
             break
+    else:
+        # the direct s-t hop leaves no interior node to delete, so round
+        # two drops the link itself; the top level keeps a link unless that
+        # was its only one
+        adj = without_link(adj, s, t)
+        c = bws[0] + 1
+        if at_least[0] == 1 and red_bw == bws[0]:
+            c = bws[1] + 1 if len(bws) > 1 else 1
     blue = _round_path(adj, s, t, closed, c)
     if blue is None:
         return None

@@ -25,9 +25,10 @@ every M_d. Each block makes one run at its lowest limit, then one run at
 each distinct M_d of the destinations left unproven, for those only.
 After d's first run, and after its run at M_d, an exact depth-first
 search over the wider path tries to close the gap to the bound within a
-budget of search steps. Each answer is a graph.DisjointResult: the pair
-and its proven upper bound; it is optimal when its combined bandwidth
-equals that bound.
+budget of search steps; a separation-pair certificate proves or tightens
+what a long search leaves open. Each answer is a graph.DisjointResult:
+the pair and its proven upper bound; it is optimal when its combined
+bandwidth equals that bound.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .widest import Adjacency, WidestTree, extract_widest_path, max_bandwidth_tr
 # steps of one exact search; one step is one candidate node for the wider
 # path that the cheap filters let through
 FALLBACK_BUDGET = 2000
+# the step at which an exact search first tries the separation-pair
+# certificate; it tries again when the budget runs out
+CERTIFY_AT = 100
 # most nodes a limit run's n x n table may span: the generator's largest graph
 MAX_RUN_NODES = 2001
 
@@ -336,10 +340,14 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
       search looks for a better pair within FALLBACK_BUDGET steps, from
       the incumbent, or from the max-min pair (two disjoint paths on the
       links >= M_d) when the first run reached nothing or less than
-      2 M_d. A search that finishes proves its pair optimal;
+      2 M_d. A search that finishes proves its pair optimal. One that
+      runs long tries a separation-pair certificate at step CERTIFY_AT
+      and when its budget runs out (_BlockSearch.certify): it proves the
+      pair optimal, or else may lower d's bound below W_d + M_d, which
+      then holds for d's later search and answer;
     - a proven destination takes no further run or search. An answer
-      left unproven keeps the incumbent and reports the bound W_d + M_d,
-      never a guess.
+      left unproven keeps the incumbent and reports the least bound
+      proven, W_d + M_d or the certificate's, never a guess.
 
     Results depend only on the graph, s and dests, never on timing. The
     runs and searches for d depend on d alone, so mlbdp_full(g, s, [d])
@@ -383,6 +391,7 @@ def mlbdp_full(g: Graph, s: int, dests: Iterable[int] | None = None) -> dict[int
                         pair = search.max_min_pair(d, m)
                     started[d] = pair.combined
                     best[d], ub = search.improve(d, pair, ub, m, FALLBACK_BUDGET)
+                    bounds[d] = ub, m
                 if best[d].combined == ub:
                     out[d] = DisjointResult(best[d], ub)
                     del bounds[d]
@@ -414,8 +423,12 @@ class _BlockSearch:
     the last; a completion avoiding it avoids them all, and if none does,
     P1 is forced through it too. At d, the pair is P1 with that partner,
     from one widest_tree search that closes the prefix and stops at d.
+    A search that runs long tries certify, a separation-pair proof of its
+    incumbent, at step CERTIFY_AT and again when its budget runs out.
     Searches and floods walk node bitmasks, one neighbor mask per node and
-    threshold, built once per threshold and block.
+    threshold: the block builds them once, one level per distinct link
+    bandwidth plus an all-zero level, so their memory is bounded by
+    (distinct bandwidths + 1) x nodes.
     """
 
     def __init__(self, block: Graph, s: int):
@@ -424,16 +437,26 @@ class _BlockSearch:
         self.adj = block.adjacency()
         self.desc = [sorted(a, key=lambda e: (-e[1], e[0])) for a in self.adj]
         self.bws = unique_bandwidths(block)
-        self._masks: dict[int, list[int]] = {}
+        # levels[i]: the per-node neighbor masks over the links >= bws[i],
+        # built top down, each level a copy of the one above plus its links;
+        # the last level is all zero
+        index = {bw: i for i, bw in enumerate(self.bws)}
+        added: list[list[tuple[int, int]]] = [[] for _ in self.bws]
+        for u, a in enumerate(self.adj):
+            for v, bw in a:
+                added[index[bw]].append((u, 1 << v))
+        level = [0] * len(self.adj)
+        self.levels = [level]
+        for links in reversed(added):
+            level = level.copy()
+            for u, bit in links:
+                level[u] |= bit
+            self.levels.append(level)
+        self.levels.reverse()
 
     def masks(self, t: int) -> list[int]:
         """Per-node neighbor masks over the links >= t."""
-        i = bisect.bisect_left(self.bws, t)
-        key = self.bws[i] if i < len(self.bws) else None
-        nb = self._masks.get(key)
-        if nb is None:
-            nb = self._masks[key] = [sum(1 << v for v, bw in a if bw >= t) for a in self.adj]
-        return nb
+        return self.levels[bisect.bisect_left(self.bws, t)]
 
     def _layers(self, t: int, start: int, goal: int, allowed: int) -> list[int] | None:
         """Breadth-first layers (node masks) from start over links >= t through
@@ -559,17 +582,68 @@ class _BlockSearch:
         bp, bq = bottleneck(self.block, p), bottleneck(self.block, q)
         return PathPair(p, q, bp, bq) if bp >= bq else PathPair(q, p, bq, bp)
 
+    def certify(self, d: int, inc: int, ub: int) -> int:
+        """A proven bound on every pair to d, given a pair of combined
+        bandwidth inc below the proven bound ub: inc when no better pair
+        exists, else at most ub.
+
+        A better pair has a wider path of at most W_d, so both its paths
+        carry the floor inc + 1 - W_d and run in the floor graph, the links
+        >= the floor. When one node separates s from d there, or nothing
+        joins them, no better pair exists. When a pair of nodes {a, b}
+        separates them, one path passes a and avoids b, the other the
+        reverse, so the better pair is at most min(W(s-a), W(a-d)) +
+        min(W(s-b), W(b-d)), each W a widest path of the floor graph that
+        avoids the other node of the pair (Menger's theorem applied to
+        2-vertex separators). Every such pair holds a node of the widest
+        s-d path, which carries W_d >= the floor, so the pairs are listed
+        as b in forced() with a, a node of that path, closed. The least
+        bound, capped at ub, is the proof; inc is proven as soon as one
+        pair's bound is no more than inc.
+        """
+        s = self.s
+        tree = widest_tree(self.adj, s, (), d)
+        floor = inc + 1 - tree.maxbw[d]
+        low = [[e for e in a if e[1] >= floor] for a in self.adj]
+
+        def through(a: int, b: int) -> int:
+            w = widest_tree(low, a, (b,)).maxbw
+            return min(w[s], w[d])
+
+        done = 0
+        for a in extract_widest_path(tree, d)[1:-1]:
+            done |= 1 << a
+            pairs = self.forced(floor, s, d, ~(1 << a))
+            if pairs is None:  # a alone separates s and d, or nothing joins them
+                return inc
+            pairs &= ~done
+            while pairs:
+                bit = pairs & -pairs
+                pairs ^= bit
+                b = bit.bit_length() - 1
+                bound = through(a, b) + through(b, a)
+                if bound <= inc:
+                    return inc
+                ub = min(ub, bound)
+        return ub
+
     def improve(
         self, d: int, pair: PathPair, ub: int, m: int, budget: int
     ) -> tuple[PathPair, int]:
         """A pair to d at least as good as pair, and a proven bound on
         every pair to d: the returned pair's combined bandwidth when the
-        search finished within budget steps (it is then optimal), else ub.
+        search finished within budget steps or certify proved it (it is
+        then optimal), else the tighter of ub and certify's bound.
+
+        certify runs at step CERTIFY_AT and when the budget runs out, each
+        time only if the incumbent changed since its last try; a proof ends
+        the search, and a tighter bound lets it stop on reaching it.
         """
         s, desc = self.s, self.desc
         inc = pair.combined
         thr = max(inc // 2 + 1, inc - m + 1)
         steps = 0
+        tried = -1  # the incumbent certify last tried
         path = [s]
         on = 1 << s
         # one (neighbor iterator, prefix bottleneck) per path node
@@ -585,8 +659,13 @@ class _BlockSearch:
                         continue
                     a2 = bw if a is None or bw < a else a
                     steps += 1
-                    if steps > budget:
-                        return pair, ub
+                    if steps == CERTIFY_AT or steps > budget:
+                        if inc != tried:
+                            tried, ub = inc, self.certify(d, inc, ub)
+                            if ub == inc:
+                                return pair, inc
+                        if steps > budget:
+                            return pair, ub
                     if v == d:
                         # a direct P1 leaves the partner every link but s-d
                         adj = self.adj if len(path) > 1 else without_link(self.adj, s, d)

@@ -20,7 +20,7 @@ def test_record_keys_on_a_tiny_probe():
     metrics = out["perfbench"]["wide-sweep"]["4242"]
     assert set(metrics) == {"setup_s", "mlbdp.pairs_per_s", "mba.pairs_per_s", "peak_rss_mb"}
     assert all(v > 0 for v in metrics.values())
-    # one traced fixed pass per workload, at the first seed
+    # the medians of best_of traced fixed passes per workload, at the first seed
     assert set(out["layers"]) == {"wide-sweep"} and set(out["layers"]["wide-sweep"]) == {"4242"}
     assert out["layers"]["wide-sweep"]["4242"]["mba.calls"] > 0
     for section, graph in (("bench", "gen-6-8"), ("scale_probe", "gen-8-12")):
@@ -70,10 +70,32 @@ def test_three_roots_refused():
     assert proc.returncode == 2 and "--root" in proc.stderr
 
 
-def test_rounds_alternate_the_roots():
+def _tool():
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_rounds_alternate_the_roots():
+    tool = _tool()
     # the parent first on odd repetitions, second on even ones
     assert list(tool._rounds(2, 4)) == [0, 1, 1, 0, 0, 1, 1, 0]
     assert list(tool._rounds(1, 3)) == [0, 0, 0]
+
+
+def test_layers_alternate_the_roots_and_keep_medians(monkeypatch):
+    tool = _tool()
+    calls = []
+
+    def traced(root, workload, seed, seconds, trace):
+        calls.append((root.name, workload, seed, seconds, trace))
+        return {"mlbdp.full.self_s": len(calls), "mba.calls": 7}
+
+    monkeypatch.setattr(tool, "_perfbench", traced)
+    out = tool.layers([Path("parent"), Path("change")], "wide-sweep", 4242, 3)
+    # three traced fixed passes per root, alternated as every other section's runs
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {c[1:] for c in calls} == {("wide-sweep", 4242, 0, 1)}
+    # the parent ran 1st, 4th and 5th, the change 2nd, 3rd and 6th
+    assert out == [{"mlbdp.full.self_s": 4, "mba.calls": 7}, {"mlbdp.full.self_s": 3, "mba.calls": 7}]

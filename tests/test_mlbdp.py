@@ -338,22 +338,26 @@ class TestCertified:
                     assert full[d].combined >= res.combined
 
     def test_second_search_after_first_search_raised_incumbent(self):
-        # the first search raises these to their optimum and runs out of
-        # budget; the sweep raises nothing, and only a second search from
-        # the raised incumbent proves them
+        # the first search raises 38 from 2925 to 2994 and runs out of
+        # budget, so a second search starts from the raised incumbent; the
+        # certificate bounds it by 3106, where W + M is 3124 (an ILP finds
+        # 2994 optimal). The certificate at step CERTIFY_AT bounds 2, 12, 23
+        # and 27 by 3106, and their first search stops on reaching it
         g = assign_random_bandwidths(generate_random_graph(50, 100, 4243), 5000, 4243)
         full = mlbdp_full(g, 42)
         for d in (2, 12, 23, 27):
             assert (full[d].combined, full[d].upper_bound) == (3106, 3106)
-        assert (full[38].combined, full[38].upper_bound) == (2994, 3124)
+        assert (full[38].combined, full[38].upper_bound) == (2994, 3106)
 
     @pytest.mark.parametrize(
         "k, s, d, want",
-        [(11, 1, 85, (3643, 3700)), (11, 3, 65, (2282, 2687)), (11, 5, 49, (3851, 3851)), (12, 35, 25, (3937, 4359))],
+        [(11, 1, 85, (3643, 3643)), (11, 3, 65, (2282, 2282)), (11, 5, 49, (3851, 3851)), (12, 35, 25, (3937, 3937))],
     )
     def test_hard_set(self, k, s, d, want):
         # 100-node queries the search cannot close, or closes only after
-        # the run at M_d; an ILP found each answer optimal
+        # the run at M_d; an ILP found each answer optimal. The separation-
+        # pair certificate proves the first three, whose bound W + M reads
+        # 3700, 2687 and 4359
         g = assign_random_bandwidths(generate_random_graph(100, 200, k), 5000, k + 1)
         res = mlbdp_full(g, s, [d])[d]
         validate_pair(g, res.pair)
@@ -371,9 +375,10 @@ class TestCertified:
         monkeypatch.setattr(_BlockSearch, "improve", recorded)
         g = assign_random_bandwidths(generate_random_graph(50, 100, 7923), 5000, 7924)
         res = mlbdp_full(g, 1, [8])[8]
-        # the first search stops at 2553 of 3070; the run at M_d lifts it
-        # to 2943, and the search from there proves it
-        assert searches == [(2553, 3070), (2943, 2943)]
+        # the first search stops at 2553, and its certificate lowers the
+        # bound from W + M = 3070 to 2943; the run at M_d lifts the pair to
+        # 2943, which then needs no second search
+        assert searches == [(2553, 2943)]
         assert (res.combined, res.upper_bound) == (2943, 2943)
 
     def test_sweep_only_for_open_destinations(self, monkeypatch):
@@ -390,8 +395,9 @@ class TestCertified:
         # the sweep before the search made 1,755 runs here
         assert len(runs) <= 200
         # source 42 leaves destinations open after the search: the ascending
-        # sweep up to their M_d made 27 runs, one run per M_d makes 3
-        assert runs.count(42) == 3
+        # sweep up to their M_d made 27 runs, and one run per M_d 3; with the
+        # certificate only 38 stays open, so the runs are 2
+        assert runs.count(42) == 2
 
     @pytest.mark.parametrize("budget", [0, 3, 2000])
     def test_later_runs_one_per_open_m(self, budget, monkeypatch):
@@ -516,15 +522,79 @@ class TestCertified:
                     if best is not None:
                         assert full[d].combined == full[d].upper_bound == best[1]
 
-    @pytest.mark.parametrize("budget", [0, 3])
+    @pytest.mark.parametrize("budget", [0, 3, 2000])
     def test_bound_holds_on_any_budget(self, budget, monkeypatch):
         monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", budget)
+        proven = 0
         for g in suite_graphs(60, seed=566):
             for s in range(g.n):
                 for d, res in mlbdp_full(g, s).items():
                     validate_pair(g, res.pair)
                     assert res.pair.red[0] == s and res.pair.red[-1] == d
                     assert res.combined <= optimal_pair_bruteforce(g, s, d)[1] <= res.upper_bound
+                    proven += res.combined == res.upper_bound
+        # of 2,064 answers; without the separation-pair certificate 1,787
+        # at budget 0 and 1,945 at budget 3
+        assert proven == {0: 1952, 3: 1987, 2000: 2064}[budget]
+
+    def test_certificate_outcomes(self):
+        # {1, 2} separates 0 from 3 and bounds every pair by 5 + 5, so 10 is
+        # proven; W + M is 15
+        diamond = make_graph(4, [(0, 1, 10), (1, 2, 10), (2, 3, 10), (0, 2, 5), (1, 3, 5)])
+        search = _BlockSearch(diamond, 0)
+        assert search.certify(3, 10, 15) == 10
+        # below the optimum the pair only tightens the bound
+        assert search.certify(3, 9, 15) == 10
+        # K5 has no separating pair: the bound stays W + M
+        k5 = make_graph(5, [(u, v, 5) for u in range(5) for v in range(u + 1, 5)])
+        assert _BlockSearch(k5, 0).certify(1, 6, 10) == 10
+        # among the links >= the floor 11 + 1 - 10, node 1 alone separates 0
+        # from 3; inside mlbdp_full the floor never exceeds M_d, so only an
+        # incumbent of W + M shows this
+        cut = make_graph(4, [(0, 1, 10), (1, 3, 10), (0, 2, 1), (2, 3, 1)])
+        assert _BlockSearch(cut, 0).certify(3, 11, 12) == 11
+        assert _BlockSearch(cut, 0).certify(3, 10, 11) == 11
+
+    def test_certificate_tried_at_checkpoint_and_when_budget_runs_out(self, monkeypatch):
+        certify, improve = _BlockSearch.certify, _BlockSearch.improve
+        tries, searches = [], []
+
+        def tried(self, d, inc, ub):
+            tries.append(inc)
+            return certify(self, d, inc, ub)
+
+        def recorded(self, d, *args):
+            tries.clear()
+            found, proven = improve(self, d, *args)
+            searches.append((d, [*tries], found.combined, proven))
+            return found, proven
+
+        monkeypatch.setattr(_BlockSearch, "certify", tried)
+        monkeypatch.setattr(_BlockSearch, "improve", recorded)
+        g = assign_random_bandwidths(generate_random_graph(50, 100, 4243), 5000, 4243)
+        mlbdp_full(g, 42)
+        # 2 is tried at step CERTIFY_AT, and the search stops on reaching the
+        # bound 3106; 38's first search is tried again when its budget runs
+        # out, as its incumbent rose, and its second search, whose incumbent
+        # never rises, only at step CERTIFY_AT
+        assert searches[0] == (2, [2925], 3106, 3106)
+        assert [x for x in searches if x[0] == 38] == [(38, [2925, 2994], 2994, 3106), (38, [2994], 2994, 3106)]
+
+    def test_certificate_proves_without_budget(self, monkeypatch):
+        # the search takes no step, so only the certificate proves the
+        # first run's 10 against W + M = 15
+        monkeypatch.setattr(mlbdp, "FALLBACK_BUDGET", 0)
+        g = make_graph(4, [(0, 1, 10), (1, 2, 10), (2, 3, 10), (0, 2, 5), (1, 3, 5)])
+        res = mlbdp_full(g, 0)[3]
+        assert (res.pair.red, res.pair.blue, res.upper_bound) == ((0, 1, 3), (0, 2, 3), 10)
+
+    def test_bench_graph_bounds_hold_the_optimum(self):
+        # the scale probe's graph (bench --gen 100,200 --seed 1): an ILP
+        # finds 4287 optimal for both, above the search's 4034
+        g = assign_random_bandwidths(generate_random_graph(100, 200, 1), 5000, 1)
+        for d, res in mlbdp_full(g, 45, [11, 24]).items():
+            validate_pair(g, res.pair)
+            assert res.combined == 4034 and res.upper_bound >= 4287
 
     def test_max_min_bounds(self):
         for g in [*HAND_GRAPHS, *suite_graphs(40, seed=567, n_hi=7)]:

@@ -13,9 +13,9 @@ record holds:
 
 - ``perfbench``: the end-to-end metrics of ``perfbench/run.py --trace 0``
   per workload and seed, each the best of k runs;
-- ``layers``: every per-layer metric of one ``perfbench/run.py --seconds 0
-  --trace 1`` run (the workload's fixed pass, traced) per workload, at the
-  first seed;
+- ``layers``: every metric of ``perfbench/run.py --seconds 0 --trace 1``
+  (the workload's fixed pass, traced) per workload, at the first seed,
+  each the median of k runs;
 - ``bench``: all-pairs ``widestpair bench --sweep 5000 --algos mlbdp,mba``
   per generated graph: each algorithm's wall time (best of k, and every
   run's in run order), pairs found and answers left unproven;
@@ -38,6 +38,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -90,6 +91,14 @@ def perfbench(roots: list[Path], workload: str, seed: int, seconds: float, k: in
             if name not in best or (v > best[name] if up else v < best[name]):
                 best[name] = v
     return bests
+
+
+def layers(roots: list[Path], workload: str, seed: int, k: int) -> list[dict[str, float]]:
+    """Per root, the median of k traced ``--seconds 0`` runs per metric."""
+    runs: list[list[dict[str, float]]] = [[] for _ in roots]
+    for i in _rounds(len(roots), k):
+        runs[i].append(_perfbench(roots[i], workload, seed, 0, 1))
+    return [{name: statistics.median(run[name] for run in rs) for name in rs[0]} for rs in runs]
 
 
 def bench(roots: list[Path], gen: str, k: int) -> list[dict[str, dict[str, object]]]:
@@ -146,7 +155,7 @@ def record(args: argparse.Namespace) -> dict[str, object]:
             w: {str(seed): perfbench(roots, w, seed, args.seconds, k, higher) for seed in args.seeds}
             for w in args.workloads
         },
-        "layers": {w: {str(first): [_perfbench(root, w, first, 0, 1) for root in roots]} for w in args.workloads},
+        "layers": {w: {str(first): layers(roots, w, first, k)} for w in args.workloads},
         "bench": {f"gen-{g.replace(',', '-')}": bench(roots, g, k) for g in args.gens},
         "scale_probe": {f"gen-{args.probe.replace(',', '-')}": bench(roots, args.probe, k)},
         "solve_ms": solve_ms(roots, k),
