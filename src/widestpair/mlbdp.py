@@ -437,6 +437,8 @@ class _BlockSearch:
         self.adj = block.adjacency()
         self.desc = [sorted(a, key=lambda e: (-e[1], e[0])) for a in self.adj]
         self.bws = unique_bandwidths(block)
+        # per destination, the incumbent certify last tried, kept across rounds
+        self.tried: dict[int, int] = {}
         # levels[i]: the per-node neighbor masks over the links >= bws[i],
         # built top down, each level a copy of the one above plus its links;
         # the last level is all zero
@@ -636,14 +638,17 @@ class _BlockSearch:
         then optimal), else the tighter of ub and certify's bound.
 
         certify runs at step CERTIFY_AT and when the budget runs out, each
-        time only if the incumbent changed since its last try; a proof ends
-        the search, and a tighter bound lets it stop on reaching it.
+        time only if the incumbent changed since its last try for d, in
+        this search or an earlier one: mlbdp_full passes as ub the bound
+        the earlier search returned, so a repeat would return it unchanged.
+        A proof ends the search, and a tighter bound lets it stop on
+        reaching it.
         """
         s, desc = self.s, self.desc
         inc = pair.combined
         thr = max(inc // 2 + 1, inc - m + 1)
         steps = 0
-        tried = -1  # the incumbent certify last tried
+        tried = self.tried.get(d, -1)
         path = [s]
         on = 1 << s
         # one (neighbor iterator, prefix bottleneck) per path node
@@ -661,7 +666,8 @@ class _BlockSearch:
                     steps += 1
                     if steps == CERTIFY_AT or steps > budget:
                         if inc != tried:
-                            tried, ub = inc, self.certify(d, inc, ub)
+                            tried = self.tried[d] = inc
+                            ub = self.certify(d, inc, ub)
                             if ub == inc:
                                 return pair, inc
                         if steps > budget:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from widestpair import cli, exact, mlbdp
+from widestpair import cli, exact, graph, mlbdp
 from widestpair.cli import main
 from widestpair.graph import parse_topology
 from widestpair.sample import FIVE_NODE_TEXT
@@ -78,6 +78,15 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert out == ""
         assert "5000 nodes needs 25,000,000 table cells" in err
+
+    def test_node_count_over_bound_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_NODES", 1000)
+        path = tmp_path / "big.topo"
+        path.write_text("nodes 1001\nlink 0 1 5\nlink 1 2 5\nlink 0 2 5\n")
+        assert main(["solve", "--topology", str(path), "--source", "0", "--dest", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 1: node count must be <= 1000 (widestpair.graph.MAX_NODES), got 1001\n"
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", "--topology", str(tmp_path / "nope"), "--source", "0", "--dest", "3"])
@@ -190,6 +199,20 @@ class TestGen:
         assert main(["gen", "--nodes", "100000", "--links", "100000", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "pool of 4999850001 unused node pairs" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bound, nodes, links", [(5, 6, 5), (1_000_000, 10**12, 10**12 - 1)], ids=["small", "huge"])
+    def test_node_count_over_bound_refused(self, tmp_path, capsys, monkeypatch, bound, nodes, links):
+        def no_graph(*args):
+            raise AssertionError("Graph built")
+
+        monkeypatch.setattr(graph, "MAX_NODES", bound)
+        monkeypatch.setattr(graph, "Graph", no_graph)
+        out = tmp_path / "g.topo"
+        assert main(["gen", "--nodes", str(nodes), "--links", str(links), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: node count must be <= {bound} (widestpair.graph.MAX_NODES), got {nodes}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

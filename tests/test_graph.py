@@ -138,6 +138,41 @@ class TestParse:
                 parse_topology(text)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "  # indented comment\nnodes 3\n\t# tab-indented comment\n  link 0 1 5\nlink 1 2 7\n",
+            "nodes\t3\nlink\t0\t1\t5\nlink 1\t 2 \t7\n",
+            "nodes 3  \nlink 0 1 5 \t\nlink 1 2 7\x0b\n",
+            "nodes 3\r\nlink 0 1 5\r\n# comment\r\nlink 1 2 7\r\n",
+            "\n\nnodes 3\n\n   \nlink 0 1 5\n\t\n\x0c\nlink 1 2 7\n\n",
+        ],
+        ids=["indented-comments", "tabs", "trailing-blanks", "crlf", "blank-lines"],
+    )
+    def test_whitespace_variants_parse_as_plain_text(self, text):
+        assert _shape(parse_topology(text)) == _shape(parse_topology("nodes 3\nlink 0 1 5\nlink 1 2 7\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodes 2\n  link 0 1", "line 2: expected 'link <u> <v> <bw>', got 'link 0 1'"),
+            ("\tnodes 2 3 \r\n", "line 1: expected 'nodes <n>', got 'nodes 2 3'"),
+            ("nodes 2\n\n \tlink 0 1 x  ", "line 3: non-integer field in 'link 0 1 x'"),
+        ],
+        ids=["link", "nodes", "non-integer"],
+    )
+    def test_indented_malformed_line_quoted_stripped(self, text, message):
+        with pytest.raises(TopologyError) as info:
+            parse_topology(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bound, n", [(5, 6), (1_000_000, 10**12)], ids=["small", "huge"])
+    def test_node_count_over_bound_refused(self, monkeypatch, bound, n):
+        monkeypatch.setattr(graph, "MAX_NODES", bound)
+        with pytest.raises(TopologyError) as info:
+            parse_topology(f"# a big one\nnodes {n}\nlink 0 1 5\n")
+        assert str(info.value) == f"line 2: node count must be <= {bound} (widestpair.graph.MAX_NODES), got {n}"
+
     def test_missing_nodes_line(self):
         with pytest.raises(TopologyError):
             parse_topology("# only a comment\n")
@@ -185,6 +220,13 @@ class TestGraphInvariants:
         with pytest.raises(ValueError) as info:
             Graph(n)
         assert str(info.value) == message
+
+    def test_node_count_bound_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_NODES", 5)
+        assert Graph(5).n == 5
+        with pytest.raises(ValueError) as info:
+            Graph(6)
+        assert str(info.value) == "node count must be <= 5 (widestpair.graph.MAX_NODES), got 6"
 
 
 @pytest.mark.parametrize("digits", [1, 79, 80, 81, 4299, 4300])
@@ -304,6 +346,21 @@ class TestGenerate:
         else:
             with pytest.raises(ValueError, match=f"pool of {pool} unused node pairs"):
                 generate_random_graph(n, m, seed=1)
+
+    @pytest.mark.parametrize("n, m", [(6, 5), (6, 9), (10**12, 10**12 - 1)], ids=["tree", "extra-links", "huge-tree"])
+    def test_node_bound_checked_before_any_graph(self, monkeypatch, n, m):
+        # a tree never reaches the link pool check, so the node bound
+        # must come before the n ids are listed
+        class Built(Exception):
+            pass
+
+        def no_graph(*args):
+            raise Built
+
+        monkeypatch.setattr(graph, "MAX_NODES", 5)
+        monkeypatch.setattr(graph, "Graph", no_graph)
+        with pytest.raises(ValueError, match=r"node count must be <= 5 \(widestpair.graph.MAX_NODES\)"):
+            generate_random_graph(n, m, seed=1)
 
 
 class TestBottleneck:

@@ -576,9 +576,9 @@ class TestCertified:
         # 2 is tried at step CERTIFY_AT, and the search stops on reaching the
         # bound 3106; 38's first search is tried again when its budget runs
         # out, as its incumbent rose, and its second search, whose incumbent
-        # never rises, only at step CERTIFY_AT
+        # never rises above the 2994 already tried, not at all
         assert searches[0] == (2, [2925], 3106, 3106)
-        assert [x for x in searches if x[0] == 38] == [(38, [2925, 2994], 2994, 3106), (38, [2994], 2994, 3106)]
+        assert [x for x in searches if x[0] == 38] == [(38, [2925, 2994], 2994, 3106), (38, [], 2994, 3106)]
 
     def test_certificate_proves_without_budget(self, monkeypatch):
         # the search takes no step, so only the certificate proves the
